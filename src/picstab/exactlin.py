@@ -149,9 +149,21 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
         return (0, 1)
     for lower in product(range(p), repeat=e):
         f = list(lower) + [1]
-        if _is_irreducible(f, p):
+        # a root in F_p is a linear factor; this cheap test rejects most
+        # candidates (all those with constant term 0) before the full test
+        if not _has_root(f, p) and _is_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found")
+
+
+def _has_root(f: Sequence[int], p: int) -> bool:
+    for a in range(p):
+        value = 0
+        for c in reversed(f):
+            value = (value * a + c) % p
+        if value == 0:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -359,13 +359,51 @@ def elementary_abelian_p_subgroups(g: FiniteGroup, p: int) -> list[Subgroup]:
     return [cls[0] for cls in classes if is_ea(cls[0])]
 
 
+def _closed_by_order(g: FiniteGroup, keep) -> Subgroup | None:
+    """The elements whose order satisfies ``keep``, if they form a subgroup."""
+    els = [x for x in range(g.order) if keep(g.element_order(x))]
+    s = frozenset(els)
+    if all(g.mult[a][b] in s for a in els for b in els):
+        return Subgroup(g, s)
+    return None
+
+
 def sylow_subgroup(g: FiniteGroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup (the trivial subgroup when p does not divide |g|)."""
-    best = Subgroup(g, frozenset({0}))
-    for s in all_subgroups(g):
-        if set(factorize(s.order)) <= {p} and s.order > best.order:
-            best = s
+    """A Sylow p-subgroup (the trivial subgroup when p does not divide |g|).
+
+    When the p-elements are closed under multiplication they form a p-subgroup
+    containing every other, so they are the unique (and normal) Sylow
+    subgroup; only otherwise is the subgroup lattice enumerated.
+    """
+    key = ("sylow", p)
+    cached = g._cache.get(key)
+    if cached is not None:
+        return cached
+    best = _closed_by_order(g, lambda n: set(factorize(n)) <= {p})
+    if best is None:
+        best = Subgroup(g, frozenset({0}))
+        for s in all_subgroups(g):
+            if set(factorize(s.order)) <= {p} and s.order > best.order:
+                best = s
+    g._cache[key] = best
     return best
+
+
+def sylow_complement(g: FiniteGroup, p: int) -> Subgroup:
+    """A complement H to a normal Sylow p-subgroup P, so that G = P x| H.
+
+    Schur-Zassenhaus guarantees that a subgroup of order |G:P| exists.  When
+    the p'-elements are closed under multiplication they are that subgroup;
+    otherwise it is taken from the subgroup lattice.
+    """
+    syl = sylow_subgroup(g, p)
+    if not syl.is_normal():
+        raise ValueError(f"the Sylow {p}-subgroup of {g.name} is not normal")
+    index = g.order // syl.order
+    h = _closed_by_order(g, lambda n: n % p != 0)
+    if h is not None:
+        return h
+    return next(s for s in all_subgroups(g) if s.order == index)
 
 
 # ---------------------------------------------------------------------------

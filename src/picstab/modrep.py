@@ -7,9 +7,12 @@ stable-category operations: syzygies, duals, tensor products, stable homs
 (maps modulo those factoring through a projective), projective stripping,
 stable isomorphism testing, endotriviality, and Tate H^0.
 
-Everything is exact and deterministic; dimensions are capped so the worst
-search (direct-sum decomposition via Fitting splittings of the endomorphism
-ring) stays at desk scale.
+Everything is exact and deterministic.  The projective indecomposables come
+from the group's structure (the regular module of a p-group, or modules
+induced from a complement of a normal Sylow subgroup), so only groups whose
+Sylow subgroup is trivial or not normal decompose kG itself.  That
+decomposition search (Fitting splittings of the endomorphism ring) is capped
+at dimension DIM_CAP so it stays at desk scale.
 """
 
 from __future__ import annotations
@@ -35,7 +38,14 @@ from .exactlin import (
     solve,
     vstack,
 )
-from .groups import FiniteGroup, GroupMono, sylow_subgroup
+from .groups import (
+    FiniteGroup,
+    GroupMono,
+    Subgroup,
+    subgroup_inclusion_group,
+    sylow_complement,
+    sylow_subgroup,
+)
 
 DIM_CAP = 64
 
@@ -476,18 +486,68 @@ def indecomposable_summands(m: GModule) -> list[GModule]:
 _PIM_CACHE: dict = {}
 
 
+def _distinct_summands(m: GModule) -> list[GModule]:
+    """One indecomposable summand of m per isomorphism class, in the order found."""
+    reps: list[GModule] = []
+    for part in indecomposable_summands(m):
+        if not any(module_iso(part, r) is not None for r in reps):
+            reps.append(part)
+    return reps
+
+
+def _induce_from_complement(s: GModule, incl: GroupMono, normal: Subgroup) -> GModule:
+    """Ind_H^G s, where incl embeds H as a complement to the normal subgroup N.
+
+    Every element of G is x h with x in N and h in H, uniquely, so the cosets
+    of H are x H for x in N.  The basis is x (x) s_j over x in N (sorted) and
+    the basis of s, and g sends x (x) v to x' (x) h v where g x = x' h.
+    """
+    g, f, d = incl.target, s.field, s.dim
+    reps = normal.sorted_elements()
+    split = {}
+    for i, x in enumerate(reps):
+        for j, h in enumerate(incl.map):
+            split[g.mult[x][h]] = (i, j)
+    n = len(reps) * d
+    mats = []
+    for gi in g.generators:
+        a = np.zeros((n, n), dtype=np.int64)
+        for i, x in enumerate(reps):
+            i2, j = split[g.mult[gi][x]]
+            a[i2 * d : (i2 + 1) * d, i * d : (i + 1) * d] = s.act(j).a
+        mats.append(FqMatrix(f, a))
+    return GModule.with_dim(g, f, mats, n, f"Ind({s.label})")
+
+
 def pims(group: FiniteGroup, field: Fq) -> tuple[GModule, ...]:
-    """The projective indecomposables, from decomposing the regular module."""
+    """The projective indecomposable kG-modules, one per isomorphism class, by dimension.
+
+    Which construction applies depends on the Sylow p-subgroup P of G:
+
+    * G = P: kG is the only PIM, because its socle is the line of the norm
+      element, so kG is indecomposable.
+    * P normal and non-trivial, with a complement H (Schur-Zassenhaus): the
+      PIMs are Ind_H^G S for the simple kH-modules S, because P acts
+      trivially on every simple kG-module and Ind_H^G S is projective with
+      top S (Alperin, Local Representation Theory, ch. 1-2).  The simples
+      are the summands of the semisimple regular module kH.
+    * Otherwise (P trivial, or not normal): the indecomposable summands of
+      the regular module kG, up to isomorphism.
+    """
     key = (group, field)
     got = _PIM_CACHE.get(key)
     if got is not None:
         return got
-    reg = regular_module(group, field)
-    parts = indecomposable_summands(reg)
-    reps: list[GModule] = []
-    for part in parts:
-        if not any(module_iso(part, r) is not None for r in reps):
-            reps.append(part.relabel(f"P{len(reps)}({group.name})"))
+    syl = sylow_subgroup(group, field.p)
+    if syl.order == group.order:
+        found = [regular_module(group, field)]
+    elif syl.order > 1 and syl.is_normal():
+        h, incl = subgroup_inclusion_group(sylow_complement(group, field.p))
+        simples = _distinct_summands(regular_module(h, field))
+        found = [_induce_from_complement(s, incl, syl) for s in simples]
+    else:
+        found = _distinct_summands(regular_module(group, field))
+    reps = [m.relabel(f"P{i}({group.name})") for i, m in enumerate(found)]
     reps.sort(key=lambda x: x.dim)
     out = tuple(reps)
     _PIM_CACHE[key] = out
@@ -738,10 +798,11 @@ def strip_projectives(m: GModule) -> tuple[GModule, GModule]:
 def module_iso(m: GModule, n: GModule) -> GMap | None:
     """An isomorphism m -> n, or None.
 
-    Searches single hom-basis elements, then sums of two and three; for
-    fields with at most 4 elements and hom dimension at most 12 it falls back
-    to exhaustive search (first nonzero coefficient normalised to 1), and
-    otherwise raises SearchExhausted rather than guessing.
+    Searches single hom-basis elements (which decides a one-dimensional hom
+    space), then sums of two and three; for fields with at most 4 elements
+    and hom dimension at most 12 it falls back to exhaustive search (first
+    nonzero coefficient normalised to 1), and otherwise raises
+    SearchExhausted rather than guessing.
     """
     if m.dim != n.dim:
         return None
@@ -754,6 +815,8 @@ def module_iso(m: GModule, n: GModule) -> GMap | None:
     for a in mats:
         if is_invertible(a):
             return GMap(m, n, a)
+    if len(mats) == 1:
+        return None  # every map is a scalar multiple of the single basis map
     for a, b in combinations(mats, 2):
         c = a + b
         if is_invertible(c):

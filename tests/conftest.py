@@ -3,7 +3,14 @@ from itertools import permutations
 import pytest
 
 from picstab.exactlin import fq_make
-from picstab.groups import cyclic, from_table, klein4, quaternion8
+from picstab.groups import (
+    all_subgroups,
+    cyclic,
+    from_table,
+    klein4,
+    quaternion8,
+    subgroup_inclusion_group,
+)
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +46,15 @@ def perm_group(n: int, name: str):
 @pytest.fixture(scope="session")
 def s3():
     return perm_group(3, "S3")
+
+
+@pytest.fixture(scope="session")
+def a4():
+    """The alternating group A4, the order-12 subgroup of S4: its Sylow
+    2-subgroup is normal but its 2'-elements (1 and the 3-cycles) are not closed."""
+    s4 = perm_group(4, "S4")
+    (even,) = [s for s in all_subgroups(s4) if s.order == 12]
+    return subgroup_inclusion_group(even, "A4")[0]
 
 
 @pytest.fixture(scope="session")

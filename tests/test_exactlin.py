@@ -11,8 +11,11 @@ from picstab.exactlin import (
     NoSolution,
     NotPrime,
     ZMatrix,
+    _canonical_modulus,
+    _is_irreducible,
     det,
     fq_make,
+    is_prime,
     kernel_basis,
     minor_gcd,
     rank,
@@ -61,6 +64,20 @@ def test_field_errors():
     with pytest.raises(FieldTooLarge):
         fq_make(2, 17)
     assert fq_make(2, 16).q == 65536
+
+
+def _unfiltered_modulus(p, e):
+    """Reference: the first candidate passing the full irreducibility test."""
+    for lower in product(range(p), repeat=e):
+        if _is_irreducible(list(lower) + [1], p):
+            return tuple(lower) + (1,)
+
+
+def test_canonical_modulus_root_prefilter_keeps_the_modulus():
+    cases = [(p, e) for p in range(2, 32) if is_prime(p) for e in range(2, 11) if p**e <= 1024]
+    assert len(cases) == 26
+    for p, e in cases:
+        assert _canonical_modulus(p, e) == _unfiltered_modulus(p, e), (p, e)
 
 
 @pytest.mark.parametrize("pq", [(2, 2), (3, 2), (2, 3), (5, 1)])

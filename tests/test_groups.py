@@ -1,5 +1,6 @@
 import pytest
 
+from picstab.exactlin import factorize
 from picstab.groups import (
     InvalidTable,
     NotHomomorphism,
@@ -7,6 +8,7 @@ from picstab.groups import (
     all_subgroups,
     build_group,
     cyclic,
+    direct_product,
     elementary_abelian_p_subgroups,
     from_table,
     identity_mono,
@@ -15,6 +17,7 @@ from picstab.groups import (
     p_subgroup_classes,
     parse_word,
     quaternion8,
+    sylow_complement,
     sylow_subgroup,
 )
 
@@ -141,6 +144,31 @@ def test_sylow():
     assert sylow_subgroup(cyclic(6), 3).order == 3
     assert sylow_subgroup(cyclic(6), 5).order == 1
     assert sylow_subgroup(quaternion8(), 2).order == 8
+
+
+def _lattice_sylow(g, p):
+    """Reference: the largest p-subgroup in the subgroup lattice."""
+    ps = [s for s in all_subgroups(g) if set(factorize(s.order)) <= {p}]
+    return max(ps, key=lambda s: s.order)
+
+
+def test_sylow_agrees_with_lattice(s3):
+    c2 = cyclic(2)
+    c2_4 = direct_product(direct_product(c2, c2), direct_product(c2, c2))
+    groups = [cyclic(n) for n in range(1, 13)] + [quaternion8(), klein4(), c2_4, s3]
+    for g in groups:
+        for p in (2, 3):
+            assert sylow_subgroup(g, p) == _lattice_sylow(g, p), (g.name, p)
+
+
+def test_sylow_complement(s3, a4):
+    cases = [(cyclic(12), 2, 3), (cyclic(12), 3, 4), (s3, 3, 2), (cyclic(5), 5, 1), (a4, 2, 3)]
+    for g, p, order in cases:
+        h = sylow_complement(g, p)
+        assert h.order == order and h.elements & sylow_subgroup(g, p).elements == {0}
+        assert h in all_subgroups(g)
+    with pytest.raises(ValueError):
+        sylow_complement(s3, 2)
 
 
 def test_mono_c2_into_c4():

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from picstab.exactlin import FqMatrix, fq_make
-from picstab.groups import cyclic, klein4, mono_from_generator_images, quaternion8
+from picstab.groups import (
+    cyclic,
+    direct_product,
+    klein4,
+    mono_from_generator_images,
+    quaternion8,
+)
 from picstab.modrep import (
     DimensionTooLarge,
     FieldMismatch,
@@ -299,6 +305,49 @@ def test_pims(F2, F4):
     assert [p.dim for p in pims(cyclic(6), F4)] == [2, 2, 2]
     assert [p.dim for p in pims(cyclic(6), F2)] == [2, 4]
     assert [p.dim for p in pims(quaternion8(), F2)] == [8]
+
+
+def _pims_by_decomposition(g, k):
+    """Reference: distinct indecomposable summands of kG, found by the Fitting search."""
+    reps = []
+    for part in indecomposable_summands(regular_module(g, k)):
+        if not any(module_iso(part, r) is not None for r in reps):
+            reps.append(part)
+    return reps
+
+
+def test_pims_agree_with_decomposition_of_kg(s3, a4):
+    groups = [cyclic(n) for n in range(2, 13)] + [
+        quaternion8(),
+        klein4(),
+        direct_product(cyclic(4), cyclic(2)),
+        direct_product(cyclic(3), cyclic(3)),
+        s3,
+        a4,
+    ]
+    for g in groups:
+        for k in (fq_make(2, 1), fq_make(3, 1), fq_make(2, 2), fq_make(3, 2), fq_make(2, 4)):
+            if g.order % k.p:
+                continue  # semisimple: pims decomposes kG itself, like the reference
+            new, old = pims(g, k), _pims_by_decomposition(g, k)
+            assert sorted(p.dim for p in new) == sorted(p.dim for p in old), (g.name, k.q)
+            for p in new:
+                assert sum(module_iso(p, q) is not None for q in old) == 1, (g.name, k.q)
+
+
+def test_pims_of_a_p_group_is_the_regular_module(F2):
+    reg = regular_module(cyclic(8), F2)
+    (p0,) = pims(cyclic(8), F2)
+    assert p0.gen_action == reg.gen_action and p0.label == "P0(C8)"
+    # kC128 exceeds the decomposition cap but needs no decomposition
+    assert [p.dim for p in pims(cyclic(128), F2)] == [128]
+
+
+def test_module_iso_decides_a_one_dimensional_hom_space(F9, s3):
+    # the two PIMs of S3 over F9 are uniserial of length 3 with one map between them
+    p0, p1 = pims(s3, F9)
+    assert len(hom_space(p0, p1)) == 1
+    assert module_iso(p0, p1) is None
 
 
 def test_strip_regular(F2):
