@@ -3,7 +3,7 @@ import random
 import pytest
 
 from picstab.abgrp import Ambiguous, FgAbelian, ab_cokernel, ab_kernel
-from picstab.groups import cyclic, klein4, mono_from_generator_images, quaternion8
+from picstab.groups import GroupMono, cyclic, klein4, mono_from_generator_images, quaternion8
 from picstab.treecalc import (
     Edge,
     FiniteVertex,
@@ -28,22 +28,36 @@ def sl2z():
 # graph validation
 
 
+def _trivial_edge(initial: int, terminal: int, target) -> Edge:
+    one = cyclic(1)
+    mono = GroupMono(one, target, (0,))
+    return Edge(one, initial, terminal, mono, mono)
+
+
 def test_graph_requires_connectivity():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not connected"):
         GraphOfGroups((FiniteVertex(cyclic(2)), FiniteVertex(cyclic(3))), (), (0,))
 
 
 def test_graph_requires_spanning_tree():
-    one = cyclic(1)
-    e = Edge(one, 0, 1, *(2 * [None]))
-    with pytest.raises(ValueError):
+    e = _trivial_edge(0, 1, cyclic(2))
+    with pytest.raises(ValueError, match=r"exactly \|V\| - 1 edges"):
         GraphOfGroups((FiniteVertex(cyclic(2)), FiniteVertex(cyclic(2))), (e,), ())
+
+
+def test_graph_tree_edges_reject_a_cycle():
+    # edges 0 and 1 both join vertices 0 and 1; marking both as the tree has
+    # the right edge count but closes a cycle and leaves vertex 2 unreached
+    c2 = cyclic(2)
+    edges = (_trivial_edge(0, 1, c2), _trivial_edge(1, 0, c2), _trivial_edge(1, 2, c2))
+    with pytest.raises(ValueError, match="tree_edges contain a cycle"):
+        GraphOfGroups(tuple(FiniteVertex(c2) for _ in range(3)), edges, (0, 1))
 
 
 def test_graph_checks_mono_endpoints():
     c2, c4 = cyclic(2), cyclic(4)
     wrong = mono_from_generator_images(c2, c4, ["g^2"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="monomorphism endpoints do not match"):
         # the edge claims group C4 but the mono starts at C2
         GraphOfGroups(
             (FiniteVertex(c4), FiniteVertex(c4)),
