@@ -76,10 +76,6 @@ class FgAbelian:
         return cls(norm)
 
     @classmethod
-    def trivial(cls) -> "FgAbelian":
-        return cls(())
-
-    @classmethod
     def cyclic(cls, n: int, label: str | None = None) -> "FgAbelian":
         if n == 1:
             return cls(())
@@ -153,6 +149,21 @@ def presentation_normalize(orders: Sequence[int]):
     )
     group, from_normal, to_normal = _quotient_with_transforms(ZMatrix.identity(n), rel)
     return group, to_normal, from_normal
+
+
+def hom_from_exponents(src_orders: Sequence[int], tgt_orders: Sequence[int], raw: ZMatrix) -> AbHom:
+    """The map Z^n / <o_i e_i> -> Z^m / <o'_j e_j> given by an exponent matrix.
+
+    Column i of ``raw`` holds the image of the i-th source generator, of order
+    ``src_orders[i]``, in target generator coordinates.  Both ends are
+    normalized by :func:`presentation_normalize` and the result is returned on
+    invariant-factor coordinates, entries reduced modulo the target factors.
+    """
+    src, _, from_normal = presentation_normalize(src_orders)
+    tgt, to_normal, _ = presentation_normalize(tgt_orders)
+    mat = to_normal @ raw @ from_normal
+    reduced = [[_reduce_entry(d, x) for x in row] for d, row in zip(tgt.factors, mat.entries)]
+    return AbHom(src, tgt, ZMatrix(reduced, cols=src.rank))
 
 
 def _chain_order(diag: list[int]) -> list[int]:
@@ -235,11 +246,6 @@ def _quotient_with_transforms(gens: ZMatrix, rels: ZMatrix):
     return group, new_gens, proj
 
 
-def _quotient_of_lattice(gens: ZMatrix, rels: ZMatrix):
-    group, new_gens, _ = _quotient_with_transforms(gens, rels)
-    return group, new_gens
-
-
 def _solve_integer(a: ZMatrix, b: ZMatrix) -> ZMatrix:
     """X with a @ X = b, for b inside the column lattice of a."""
     u, _, d, v, _ = _snf_with_inverses(a)
@@ -281,7 +287,7 @@ def ab_kernel(h: AbHom) -> tuple[FgAbelian, AbHom]:
     # lattice of lifts; includes the source relations since h is well defined
     lattice = _lattice_basis(xpart, n)
     src_rel = _relation_matrix(h.source)
-    group, new_gens = _quotient_of_lattice(lattice, src_rel)
+    group, new_gens, _ = _quotient_with_transforms(lattice, src_rel)
     incl = AbHom(group, h.source, ZMatrix(
         [[_coords_mod(h.source, new_gens.column(j))[i] for j in range(new_gens.cols)]
          for i in range(n)], cols=new_gens.cols))
@@ -329,7 +335,7 @@ def ab_image(h: AbHom) -> FgAbelian:
     t = h.target.rank
     tgt_rel = _relation_matrix(h.target)
     span = _lattice_basis(h.matrix.hstack(tgt_rel), t)
-    group, _ = _quotient_of_lattice(span, tgt_rel)
+    group, _, _ = _quotient_with_transforms(span, tgt_rel)
     return group
 
 
@@ -344,20 +350,6 @@ def ab_direct_sum(parts: Sequence[FgAbelian]) -> FgAbelian:
         else:
             labels.extend(g.labels)
     return FgAbelian.from_factors(factors, labels if have_labels else None)
-
-
-def hom_group(a: FgAbelian, b: FgAbelian) -> FgAbelian:
-    """Hom(A, B): Hom(Z/m, Z/n) = Z/gcd(m, n), Hom(Z, C) = C, additively."""
-    factors = []
-    for da in a.factors:
-        for db in b.factors:
-            if da == 0:
-                factors.append(db)
-            elif db == 0:
-                continue  # Hom(Z/m, Z) = 0
-            else:
-                factors.append(math.gcd(da, db))
-    return FgAbelian.from_factors(factors)
 
 
 SPLIT_REASONS = ("sub_trivial", "quot_trivial", "coprime_orders", "split_by_inflation", "none")

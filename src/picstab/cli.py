@@ -8,6 +8,7 @@ deterministic: identical input files give byte-identical JSON.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
 import json
 import sys
@@ -81,69 +82,107 @@ def _parse_embed(embed, edge: FiniteGroup, target: FiniteGroup):
     return mono_from_generator_images(edge, target, list(words))
 
 
-def _parse_vertex(spec):
+def _get(obj, key: str, path: str, kind: type | None = None):
+    """obj[key], or an InputError naming the key's path when it is missing or not of ``kind``."""
+    where = f"{path}.{key}" if path else key
+    if not isinstance(obj, dict) or key not in obj:
+        raise InputError(f"{where} is missing")
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        raise InputError(f"{where} must be {'a list' if kind is list else 'an object'}")
+    return value
+
+
+def _parse_vertex(spec, path: str):
     if isinstance(spec, dict) and "free_product" in spec:
-        parts = tuple(parse_group(s) for s in spec["free_product"])
+        parts = tuple(parse_group(s) for s in _get(spec, "free_product", path, list))
         return treecalc.ProfileVertex(parts)
     return treecalc.FiniteVertex(parse_group(spec))
 
 
+def _check_index(i, items: list | tuple, path: str, noun: str, nouns: str) -> int:
+    i, n = int(i), len(items)
+    if not 0 <= i < n:
+        raise InputError(f"{path} = {i}; graph has {n} {noun if n == 1 else nouns}")
+    return i
+
+
+def _parse_graph(cons: dict) -> treecalc.GraphOfGroups:
+    vertices = tuple(
+        _parse_vertex(v, f"construction.vertices[{i}]")
+        for i, v in enumerate(_get(cons, "vertices", "construction", list))
+    )
+    edge_specs = _get(cons, "edges", "construction", list)
+    edges = []
+    for n, e in enumerate(edge_specs):
+        path = f"construction.edges[{n}]"
+        if not isinstance(e, dict):
+            raise InputError(f"{path} must be an object")
+        iv, tv = (
+            _check_index(_get(e, end, path), vertices, f"{path}.{end}", "vertex", "vertices")
+            for end in ("from", "to")
+        )
+        if e.get("edge") == "id" or e.get("identity"):
+            edges.append(treecalc.Edge(None, iv, tv, None, None))
+            continue
+        edge = parse_group(_get(e, "edge", path))
+        monos = []
+        for end, v in (("from", iv), ("to", tv)):
+            if not isinstance(vertices[v], treecalc.FiniteVertex):
+                raise InputError(
+                    f"{path}.{end} = {v} is a free-product vertex; "
+                    "only identity self-edges may touch it"
+                )
+            monos.append(_parse_embed(_get(e, f"embed_{end}", path), edge, vertices[v].group))
+        edges.append(treecalc.Edge(edge, iv, tv, *monos))
+    tree_specs = _get(cons, "tree_edges", "construction", list) if "tree_edges" in cons else []
+    tree = tuple(
+        _check_index(i, edges, f"construction.tree_edges[{n}]", "edge", "edges")
+        for n, i in enumerate(tree_specs)
+    )
+    return treecalc.GraphOfGroups(vertices, tuple(edges), tree)
+
+
 def parse_construction(cons: dict):
     """Returns ('gog', GraphOfGroups), ('profile', name, group), or ('group', g)."""
+    if not isinstance(cons, dict):
+        raise InputError("construction must be an object")
     if "profile" in cons:
-        return ("profile", cons["profile"], parse_group(cons["of"]))
+        return ("profile", cons["profile"], parse_group(_get(cons, "of", "construction")))
     if "group" in cons:
         return ("group", parse_group(cons["group"]))
     kind = cons.get("type")
     if kind == "amalgam":
-        left = parse_group(cons["left"])
-        right = parse_group(cons["right"])
-        edge = parse_group(cons["edge"])
+        left, right, edge = (
+            parse_group(_get(cons, key, "construction")) for key in ("left", "right", "edge")
+        )
         gog = treecalc.amalgam(
             left,
             right,
             edge,
-            _parse_embed(cons["embed_left"], edge, left),
-            _parse_embed(cons["embed_right"], edge, right),
+            _parse_embed(_get(cons, "embed_left", "construction"), edge, left),
+            _parse_embed(_get(cons, "embed_right", "construction"), edge, right),
         )
         return ("gog", gog)
     if kind == "hnn":
-        vertex = _parse_vertex(cons["vertex"])
+        vertex = _parse_vertex(_get(cons, "vertex", "construction"), "construction.vertex")
         if isinstance(vertex, treecalc.ProfileVertex):
             if cons.get("embed_initial", "id") != "id" or cons.get("embed_terminal", "id") != "id":
                 raise InputError("profile vertices support only identity embeddings")
             return ("gog", treecalc.z_times(vertex))
-        edge = parse_group(cons["edge"])
+        edge = parse_group(_get(cons, "edge", "construction"))
         gog = treecalc.hnn(
             vertex.group,
             edge,
-            _parse_embed(cons["embed_initial"], edge, vertex.group),
-            _parse_embed(cons["embed_terminal"], edge, vertex.group),
+            _parse_embed(_get(cons, "embed_initial", "construction"), edge, vertex.group),
+            _parse_embed(_get(cons, "embed_terminal", "construction"), edge, vertex.group),
         )
         return ("gog", gog)
     if kind == "free_product":
-        groups = [parse_group(s) for s in cons["factors"]]
+        groups = [parse_group(s) for s in _get(cons, "factors", "construction", list)]
         return ("gog", treecalc.free_product(groups))
     if kind == "graph":
-        vertices = tuple(_parse_vertex(v) for v in cons["vertices"])
-        edges = []
-        for e in cons["edges"]:
-            if e.get("edge") == "id" or e.get("identity"):
-                edges.append(treecalc.Edge(None, int(e["from"]), int(e["to"]), None, None))
-                continue
-            edge = parse_group(e["edge"])
-            iv, tv = int(e["from"]), int(e["to"])
-            edges.append(
-                treecalc.Edge(
-                    edge,
-                    iv,
-                    tv,
-                    _parse_embed(e["embed_from"], edge, vertices[iv].group),
-                    _parse_embed(e["embed_to"], edge, vertices[tv].group),
-                )
-            )
-        tree = tuple(int(i) for i in cons.get("tree_edges", ()))
-        return ("gog", treecalc.GraphOfGroups(vertices, tuple(edges), tree))
+        return ("gog", _parse_graph(cons))
     raise InputError(f"unknown construction {cons!r}")
 
 
@@ -212,20 +251,65 @@ def _verify_groups(groups, field) -> None:
             raise InputError(f"registry self-verification failed for {result['group']}")
 
 
+def _header(command: str, digest: str | None) -> dict:
+    """The fields every report starts with; commands without an input have no digest."""
+    head = {"schema": SCHEMA_VERSION, "command": command}
+    if digest is not None:
+        head["input_sha256"] = digest
+    return head
+
+
+def _args_digest(*args: str) -> str:
+    return hashlib.sha256("\x1f".join(args).encode()).hexdigest()
+
+
+def _report_options(fn):
+    fn = click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")(fn)
+    return click.option("--out", default=None, help="Write the report to this file.")(fn)
+
+
+@click.group()
+def main() -> None:
+    """Picard groups of stable module categories, by exact arithmetic."""
+
+
+def report_command(name: str):
+    """Register a command whose function returns (input digest, report body, exit code).
+
+    The command gets --out and --format, its report starts with
+    :func:`_header`, and any exception is printed as "Type: message" on
+    stderr with exit code 1.
+    """
+
+    def register(fn):
+        @functools.wraps(fn)
+        def command(out, fmt, **kwargs):
+            try:
+                digest, body, code = fn(**kwargs)
+                _emit({**_header(name, digest), **body}, fmt, out)
+            except Exception as ex:  # noqa: BLE001 - converted to exit code 1 per contract
+                click.echo(f"{type(ex).__name__}: {ex}", err=True)
+                sys.exit(1)
+            sys.exit(code)
+
+        return main.command(name)(_report_options(command))
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # compute-t
 
 
 def _evaluate_compute_t(path: str, verify: bool) -> tuple[dict, int]:
     data, digest = _load_input(path)
-    field = parse_field(data["field"])
-    kind, *rest = parse_construction(data["construction"])
+    field = parse_field(_get(data, "field", ""))
+    construction = _get(data, "construction", "")
+    kind, *rest = parse_construction(construction)
     report = {
-        "schema": SCHEMA_VERSION,
-        "command": "compute-t",
-        "input_sha256": digest,
+        **_header("compute-t", digest),
         "field": {"p": field.p, "deg": field.e},
-        "construction": data["construction"],
+        "construction": construction,
     }
     if kind == "profile":
         name, group = rest
@@ -270,15 +354,9 @@ def _evaluate_compute_t_entry(args) -> tuple[str, dict | None, str | None, int]:
         return path, None, f"{type(ex).__name__}: {ex}", 1
 
 
-@click.group()
-def main() -> None:
-    """Picard groups of stable module categories, by exact arithmetic."""
-
-
 @main.command("compute-t")
 @click.argument("inputs", nargs=-1, required=True, type=click.Path(exists=True))
-@click.option("--out", default=None, help="Write the report here (single input only).")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
+@_report_options
 @click.option("--jobs", default=1, show_default=True, help="Evaluate input files concurrently.")
 @click.option("--verify", is_flag=True, help="Run registry self-verification first.")
 def cmd_compute_t(inputs, out, fmt, jobs, verify) -> None:
@@ -303,139 +381,95 @@ def cmd_compute_t(inputs, out, fmt, jobs, verify) -> None:
     sys.exit(exit_code)
 
 
-@main.command("endotrivial")
+# ---------------------------------------------------------------------------
+# the other report commands
+
+
+@report_command("endotrivial")
 @click.argument("group")
 @click.argument("field")
 @click.argument("recipe")
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@click.option("--verify", is_flag=True)
-def cmd_endotrivial(group, field, recipe, out, fmt, verify) -> None:
+@click.option("--verify", is_flag=True, help="Run registry self-verification first.")
+def cmd_endotrivial(group, field, recipe, verify):
     """Decide whether the module given by RECIPE is endotrivial."""
-    try:
-        g = parse_group(group)
-        k = parse_field(field)
-        ast = parse_recipe(recipe)
-        if verify:
-            _verify_groups([g], k)
-        mod = build_recipe(g, k, ast)
-        answer = modrep.is_endotrivial(mod)
-    except Exception as ex:  # noqa: BLE001
-        click.echo(f"{type(ex).__name__}: {ex}", err=True)
-        sys.exit(1)
+    g = parse_group(group)
+    k = parse_field(field)
+    ast = parse_recipe(recipe)
+    if verify:
+        _verify_groups([g], k)
+    mod = build_recipe(g, k, ast)
     report = {
-        "schema": SCHEMA_VERSION,
-        "command": "endotrivial",
-        "input_sha256": _args_digest(group, field, recipe),
         "group": g.name,
         "field": {"p": k.p, "deg": k.e},
         "recipe": recipe_to_str(ast),
         "dimension": mod.dim,
-        "endotrivial": bool(answer),
+        "endotrivial": bool(modrep.is_endotrivial(mod)),
     }
-    _emit(report, fmt, out)
+    return _args_digest(group, field, recipe), report, 0
 
 
-def _args_digest(*args: str) -> str:
-    return hashlib.sha256("\x1f".join(args).encode()).hexdigest()
-
-
-@main.command("stable-end")
+@report_command("stable-end")
 @click.argument("group")
 @click.argument("field")
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-def cmd_stable_end(group, field, out, fmt) -> None:
+def cmd_stable_end(group, field):
     """Idempotent decomposition of the stable endomorphisms of k."""
-    try:
-        g = parse_group(group)
-        k = parse_field(field)
-        factors = components_mod.stable_end_decomposition(g, k)
-        h0 = modrep.tate_h0(g, k)
-    except Exception as ex:  # noqa: BLE001
-        click.echo(f"{type(ex).__name__}: {ex}", err=True)
-        sys.exit(1)
+    g = parse_group(group)
+    k = parse_field(field)
+    factors = components_mod.stable_end_decomposition(g, k)
     report = {
-        "schema": SCHEMA_VERSION,
-        "command": "stable-end",
-        "input_sha256": _args_digest(group, field),
         "group": g.name,
         "field": {"p": k.p, "deg": k.e},
         "factor_count": len(factors),
         "factors": [f"F{f.q}" for f in factors],
         "ring": " x ".join(f"F{f.q}" for f in factors) or "0",
-        "tate_h0_dim": h0.dim,
+        "tate_h0_dim": modrep.tate_h0(g, k).dim,
     }
-    _emit(report, fmt, out)
+    return _args_digest(group, field), report, 0
 
 
-@main.command("components")
+@report_command("components")
 @click.argument("input_file", type=click.Path(exists=True))
 @click.option("--p", "prime", required=True, type=int)
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-def cmd_components(input_file, prime, out, fmt) -> None:
+def cmd_components(input_file, prime):
     """Components of non-trivial p-subgroups for a group or graph of groups."""
-    try:
-        data, digest = _load_input(input_file)
-        kind, *rest = parse_construction(data["construction"])
-        if kind == "group":
-            (g,) = rest
-            pc = components_mod.p_components_finite(g, prime)
-            detail = {
-                "count": pc.count,
-                "classes": [
-                    {"orders": [s.order for s in cls], "size": len(cls)} for cls in pc.classes
-                ],
-                "components": [list(c) for c in pc.components],
-            }
-            count = pc.count
-        elif kind == "gog":
-            (gog,) = rest
-            count = components_mod.p_components_graph(gog, prime)
-            detail = {"count": count}
-        else:
-            raise InputError("components needs a finite group or a graph of finite groups")
-    except Exception as ex:  # noqa: BLE001
-        click.echo(f"{type(ex).__name__}: {ex}", err=True)
-        sys.exit(1)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "components",
-        "input_sha256": digest,
-        "p": prime,
-        **detail,
-    }
-    _emit(report, fmt, out)
+    data, digest = _load_input(input_file)
+    kind, *rest = parse_construction(_get(data, "construction", ""))
+    if kind == "group":
+        (g,) = rest
+        pc = components_mod.p_components_finite(g, prime)
+        detail = {
+            "count": pc.count,
+            "classes": [
+                {"orders": [s.order for s in cls], "size": len(cls)} for cls in pc.classes
+            ],
+            "components": [list(c) for c in pc.components],
+        }
+    elif kind == "gog":
+        (gog,) = rest
+        detail = {"count": components_mod.p_components_graph(gog, prime)}
+    else:
+        raise InputError("components needs a finite group or a graph of finite groups")
+    return digest, {"p": prime, **detail}, 0
 
 
-@main.command("restrict-class")
+@report_command("restrict-class")
 @click.option("--group", required=True, help="The big group (JSON or shorthand).")
 @click.option("--subgroup", required=True, help="The subgroup as a standalone group.")
 @click.option("--embed", required=True, help="Generator images, e.g. \"g^2\" or \"x,y\".")
 @click.option("--field", required=True)
 @click.option("--module", "recipe", required=True, help="Module recipe over the big group.")
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-def cmd_restrict_class(group, subgroup, embed, field, recipe, out, fmt) -> None:
+def cmd_restrict_class(group, subgroup, embed, field, recipe):
     """Restrict a module and identify its class in T(subgroup)."""
-    try:
-        g = parse_group(group)
-        h = parse_group(subgroup)
-        k = parse_field(field)
-        words = [w.strip() for w in embed.split(",")]
-        mono = mono_from_generator_images(h, g, words)
-        ast = parse_recipe(recipe)
-        mod = build_recipe(g, k, ast)
-        tgd = picard.t_group(h, k)
-        exps = tgd.identify(modrep.restrict(mod, mono))
-    except Exception as ex:  # noqa: BLE001
-        click.echo(f"{type(ex).__name__}: {ex}", err=True)
-        sys.exit(1)
+    g = parse_group(group)
+    h = parse_group(subgroup)
+    k = parse_field(field)
+    words = [w.strip() for w in embed.split(",")]
+    mono = mono_from_generator_images(h, g, words)
+    ast = parse_recipe(recipe)
+    mod = build_recipe(g, k, ast)
+    tgd = picard.t_group(h, k)
+    exps = tgd.identify(modrep.restrict(mod, mono))
     report = {
-        "schema": SCHEMA_VERSION,
-        "command": "restrict-class",
-        "input_sha256": _args_digest(group, subgroup, embed, field, recipe),
         "group": g.name,
         "subgroup": h.name,
         "field": {"p": k.p, "deg": k.e},
@@ -445,35 +479,24 @@ def cmd_restrict_class(group, subgroup, embed, field, recipe, out, fmt) -> None:
         "generators": [t.label for t in tgd.gens],
         "is_trivial_class": not any(exps),
     }
-    _emit(report, fmt, out)
+    return _args_digest(group, subgroup, embed, field, recipe), report, 0
 
 
-@main.command("snf")
+@report_command("snf")
 @click.argument("matrix_file", type=click.Path(exists=True))
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-def cmd_snf(matrix_file, out, fmt) -> None:
+def cmd_snf(matrix_file):
     """Smith normal form of an integer matrix given as {"matrix": [[...]]}."""
-    try:
-        raw = Path(matrix_file).read_bytes()
-        data = json.loads(raw)
-        m = ZMatrix(data["matrix"])
-        u, d, v = smith_normal_form(m)
-        ok = (u @ m @ v) == d
-    except Exception as ex:  # noqa: BLE001
-        click.echo(f"{type(ex).__name__}: {ex}", err=True)
-        sys.exit(1)
+    raw = Path(matrix_file).read_bytes()
+    m = ZMatrix(_get(json.loads(raw), "matrix", "", list))
+    u, d, v = smith_normal_form(m)
     diag = [int(x) for x in d.diagonal_entries()]
     report = {
-        "schema": SCHEMA_VERSION,
-        "command": "snf",
-        "input_sha256": hashlib.sha256(raw).hexdigest(),
         "U": u.to_lists(),
         "D": d.to_lists(),
         "V": v.to_lists(),
         "diagonal": diag,
         "checks": {
-            "u_m_v_equals_d": bool(ok),
+            "u_m_v_equals_d": bool((u @ m @ v) == d),
             "det_u": det(u),
             "det_v": det(v),
             "divisibility_chain": all(
@@ -481,24 +504,15 @@ def cmd_snf(matrix_file, out, fmt) -> None:
             ),
         },
     }
-    _emit(report, fmt, out)
+    return hashlib.sha256(raw).hexdigest(), report, 0
 
 
-@main.command("verify")
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-def cmd_verify(out, fmt) -> None:
+@report_command("verify")
+def cmd_verify():
     """Self-verify every built-in registry entry."""
     reports = [picard.verify_registry(g, f) for g, f in picard.BUILTIN_PAIRS]
     ok = all(r["ok"] for r in reports)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "ok": ok,
-        "entries": reports,
-    }
-    _emit(report, fmt, out)
-    sys.exit(0 if ok else 1)
+    return None, {"ok": ok, "entries": reports}, 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -13,35 +13,7 @@ from dataclasses import dataclass
 
 from .exactlin import Fq
 from .groups import FiniteGroup, Subgroup, p_subgroup_classes
-
-
-class UnsupportedVertex(ValueError):
-    pass
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def groups(self) -> list[list]:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return [sorted(v) for _, v in sorted(out.items())]
+from .treecalc import FiniteVertex, UnionFind, UnsupportedVertex
 
 
 @dataclass(frozen=True)
@@ -73,9 +45,7 @@ class PComponents:
 def p_components_finite(g: FiniteGroup, p: int) -> PComponents:
     """Merge conjugacy classes of non-trivial p-subgroups along inclusion."""
     classes = p_subgroup_classes(g, p)
-    uf = _UnionFind()
-    for i in range(len(classes)):
-        uf.add(i)
+    uf = UnionFind(range(len(classes)))
     for i, cls_i in enumerate(classes):
         for j, cls_j in enumerate(classes):
             if i >= j:
@@ -100,15 +70,13 @@ def p_components_graph(gog, p: int) -> int:
     free-product case (where nothing glues) by the same conjugacy control of
     finite subgroups coming from the action on the tree.
     """
-    from .treecalc import FiniteVertex
-
     for v in gog.vertices:
         if not isinstance(v, FiniteVertex):
             raise UnsupportedVertex(
                 "component counting needs every vertex group to be finite"
             )
     per_vertex = [p_components_finite(v.group, p) for v in gog.vertices]
-    uf = _UnionFind()
+    uf = UnionFind()
     for vi, pc in enumerate(per_vertex):
         for ci in range(pc.count):
             uf.add((vi, ci))

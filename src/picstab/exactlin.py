@@ -229,10 +229,6 @@ class Fq:
         _, log = self._exp_log()
         return (self.q - 1) // math.gcd(self.q - 1, int(log[a]))
 
-    def from_int(self, n: int) -> int:
-        """Image of the integer n under Z -> F_q (lands in the prime field)."""
-        return n % self.p
-
     def primitive_element(self) -> int:
         exp, _ = self._exp_log()
         return int(exp[1]) if self.q > 2 else 1
@@ -464,21 +460,6 @@ def vstack(mats: Sequence[FqMatrix]) -> FqMatrix:
     return FqMatrix(mats[0].field, np.vstack([m.a for m in mats]))
 
 
-def block_diag(mats: Sequence[FqMatrix], fq: Fq | None = None) -> FqMatrix:
-    if not mats:
-        return FqMatrix.zeros(fq, 0, 0)
-    f = mats[0].field
-    r = sum(m.rows for m in mats)
-    c = sum(m.cols for m in mats)
-    out = np.zeros((r, c), dtype=np.int64)
-    i = j = 0
-    for m in mats:
-        out[i : i + m.rows, j : j + m.cols] = m.a
-        i += m.rows
-        j += m.cols
-    return FqMatrix(f, out)
-
-
 def _rref_array(fq: Fq, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     a = a.copy()
     rows, cols = a.shape
@@ -598,11 +579,6 @@ class ZMatrix:
     @classmethod
     def identity(cls, n: int) -> "ZMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[int]) -> "ZMatrix":
-        n = len(diag)
-        return cls([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ZMatrix) and self.entries == other.entries and self.cols == other.cols
@@ -796,14 +772,6 @@ def smith_normal_form(m: ZMatrix) -> tuple[ZMatrix, ZMatrix, ZMatrix]:
     """U, D, V with U m V = D, U and V unimodular, D = diag(d1 | d2 | ...)."""
     u, _, d, v, _ = _snf_with_inverses(m)
     return u, d, v
-
-
-def z_kernel_basis(m: ZMatrix) -> ZMatrix:
-    """Columns form a basis of the integer kernel {x : m x = 0}."""
-    _, d, v = smith_normal_form(m)
-    diag = d.diagonal_entries()
-    r = sum(1 for x in diag if x != 0)
-    return v.take_cols(range(r, m.cols))
 
 
 def minor_gcd(m: ZMatrix, k: int) -> int:

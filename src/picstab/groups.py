@@ -91,6 +91,19 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order {self.order})"
 
 
+def is_abelian(g: FiniteGroup) -> bool:
+    return all(g.mult[a][b] == g.mult[b][a] for a in range(g.order) for b in range(a))
+
+
+def p_parts(n: int, p: int) -> tuple[int, int]:
+    """(p^a, m) with n = p^a m and p not dividing m."""
+    pa = 1
+    while n % p == 0:
+        pa *= p
+        n //= p
+    return pa, n
+
+
 def _validate_table(mult: tuple[tuple[int, ...], ...]) -> None:
     n = len(mult)
     t = np.array(mult, dtype=np.int64).reshape(n, n)
@@ -345,18 +358,6 @@ def p_subgroup_classes(g: FiniteGroup, p: int) -> list[list[Subgroup]]:
         if s.order > 1 and set(factorize(s.order)) == {p}
     ]
     return conjugacy_classes_of_subgroups(psubs)
-
-
-def elementary_abelian_p_subgroups(g: FiniteGroup, p: int) -> list[Subgroup]:
-    """Non-trivial subgroups isomorphic to (C_p)^r, one per conjugacy class."""
-    def is_ea(s: Subgroup) -> bool:
-        els = s.sorted_elements()
-        return all(g.element_order(x) == p for x in els if x != 0) and all(
-            g.mult[x][y] == g.mult[y][x] for x in els for y in els
-        )
-
-    classes = p_subgroup_classes(g, p)
-    return [cls[0] for cls in classes if is_ea(cls[0])]
 
 
 def _closed_by_order(g: FiniteGroup, keep) -> Subgroup | None:

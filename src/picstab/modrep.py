@@ -174,12 +174,6 @@ def regular_module(group: FiniteGroup, field: Fq) -> GModule:
     return GModule.with_dim(group, field, mats, n, f"k{group.name}")
 
 
-def character_module(group: FiniteGroup, field: Fq, scalars, label="chi") -> GModule:
-    """Rank-1 module where generator i acts by the given unit scalar."""
-    mats = [FqMatrix.from_rows(field, [[int(c)]]) for c in scalars]
-    return GModule.with_dim(group, field, mats, 1, label)
-
-
 def dual(m: GModule) -> GModule:
     g = m.group
     mats = [m.act(g.inv(gi)).t() for gi in g.generators]
@@ -192,11 +186,6 @@ def tensor(m: GModule, n: GModule) -> GModule:
     return GModule.with_dim(
         m.group, m.field, mats, m.dim * n.dim, f"{m.label}(x){n.label}", check=False
     )
-
-
-def hom_k(m: GModule, n: GModule) -> GModule:
-    """Hom_k(M, N) with the conjugation action, realised as M* tensor N."""
-    return tensor(dual(m), n).relabel(f"Hom({m.label},{n.label})")
 
 
 def direct_sum(group: FiniteGroup, field: Fq, mods) -> GModule:
@@ -323,13 +312,13 @@ def _act_of_algebra_element(m: GModule, coeffs) -> FqMatrix:
     return out
 
 
-def radical(m: GModule, method: str = "auto") -> FqMatrix:
+def radical(m: GModule) -> FqMatrix:
     """Basis (columns) of J(kG) . m.
 
     With a normal Sylow p-subgroup P the radical of kG is the ideal generated
     by the augmentation ideal of kP, so J.m is spanned by (t - 1).m over
-    t in P.  The generic path computes J(kG) itself from the group algebra
-    and is kept for explicit tables whose Sylow subgroup is not normal.
+    t in P.  Otherwise J(kG) itself is computed from the group algebra by
+    :func:`jacobson_radical`, which caps the group order times the degree.
     """
     f = m.field
     if m.dim == 0:
@@ -338,16 +327,10 @@ def radical(m: GModule, method: str = "auto") -> FqMatrix:
     if g.order % f.p:
         return FqMatrix.zeros(f, m.dim, 0)
     syl = sylow_subgroup(g, f.p)
-    if method == "auto":
-        method = "sylow" if syl.is_normal() else "generic"
-    if method == "sylow":
-        if not syl.is_normal():
-            raise ValueError("Sylow subgroup is not normal; use method='generic'")
+    if syl.is_normal():
         eye = FqMatrix.identity(f, m.dim)
         spans = [m.act(t) - eye for t in syl.sorted_elements() if t != 0]
         return column_space_basis(hstack(spans))
-    if method != "generic":
-        raise ValueError(f"unknown radical method {method!r}")
     jbasis = jacobson_radical(g, f)
     if not jbasis:
         return FqMatrix.zeros(f, m.dim, 0)
@@ -662,9 +645,6 @@ class StableHomSpace:
     @property
     def quotient(self) -> list[GMap]:
         """Coset representatives spanning Hom / PHom."""
-        return self.quotient_reps()
-
-    def quotient_reps(self) -> list[GMap]:
         return [self.full[j] for j in range(self.full_dim) if j not in self.phom_pivots]
 
     def coordinates(self, gmap: GMap) -> FqMatrix:

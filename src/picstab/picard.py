@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abgrp import AbHom, FgAbelian, ab_direct_sum, presentation_normalize
+from .abgrp import AbHom, FgAbelian, ab_direct_sum, hom_from_exponents, presentation_normalize
 from .exactlin import Fq, ZMatrix, fq_make
-from .groups import FiniteGroup, GroupMono, build_group
+from .groups import FiniteGroup, GroupMono, build_group, is_abelian, p_parts
 from . import modrep
 from .modrep import GModule, is_endotrivial, restrict, stable_iso, strip_projectives, tate_h0
-from .recipes import build_recipe, recipe_to_str
+from .recipes import build_recipe
 
 
 class UnsupportedGroup(ValueError):
@@ -57,8 +57,6 @@ class TGroupData:
     family: str
     gens: tuple[TGen, ...]
     structure: FgAbelian
-    to_normal: ZMatrix  # generator-exponent coords -> invariant-factor coords
-    from_normal: ZMatrix
     notes: tuple[str, ...] = ()
 
     @property
@@ -109,22 +107,6 @@ class TGroupData:
     def _cache(self) -> dict:
         return self.group._cache.setdefault(("tgroup", self.field), {})
 
-    def to_json(self) -> dict:
-        return {
-            "group": self.group.name,
-            "field": {"p": self.field.p, "deg": self.field.e},
-            "structure": self.structure.to_json(),
-            "generators": [
-                {
-                    "label": g.label,
-                    "order": g.order,
-                    "recipe": recipe_to_str(g.recipe) if g.recipe else None,
-                }
-                for g in self.gens
-            ],
-            "notes": list(self.notes),
-        }
-
 
 @dataclass(frozen=True)
 class StableAutProfile:
@@ -155,36 +137,19 @@ def _is_klein_four(g: FiniteGroup) -> bool:
 
 
 def _is_quaternion8(g: FiniteGroup) -> bool:
-    if g.order != 8:
+    if g.order != 8 or is_abelian(g):
         return False
-    if any(g.mult[a][b] != g.mult[b][a] for a in range(8) for b in range(8)):
-        return sum(1 for x in range(8) if g.element_order(x) == 2) == 1
-    return False
-
-
-def _is_abelian(g: FiniteGroup) -> bool:
-    return all(g.mult[a][b] == g.mult[b][a] for a in range(g.order) for b in range(g.order))
+    return sum(1 for x in range(8) if g.element_order(x) == 2) == 1
 
 
 def _cyclic_times_cyclic_split(g: FiniteGroup, p: int) -> tuple[int, int] | None:
     """(p^a, m) when g is abelian with cyclic Sylow p-part and cyclic p'-part."""
-    if not _is_abelian(g):
+    if not is_abelian(g):
         return None
-    n = g.order
-    pa = 1
-    while n % p == 0:
-        pa *= p
-        n //= p
-    m = n
+    pa, m = p_parts(g.order, p)
     has_p = any(g.element_order(x) == pa for x in range(g.order))
     has_m = any(g.element_order(x) == m for x in range(g.order))
     return (pa, m) if has_p and has_m else None
-
-
-def _gens_to_presentation(gens: list[TGen]):
-    orders = [g.order for g in gens]
-    group, to_normal, from_normal = presentation_normalize(orders)
-    return group, to_normal, from_normal
 
 
 @lru_cache(maxsize=None)
@@ -224,10 +189,8 @@ def t_group(group: FiniteGroup, field: Fq) -> TGroupData:
             gens.append(TGen("chi", c, ("character", 1)))
         if pa >= 3:
             gens.append(TGen("Omega k", 2, ("syzygy", ("trivial",))))
-    structure, to_normal, from_normal = _gens_to_presentation(gens)
-    return TGroupData(
-        group, field, family, tuple(gens), structure, to_normal, from_normal, tuple(notes)
-    )
+    structure, _, _ = presentation_normalize([g.order for g in gens])
+    return TGroupData(group, field, family, tuple(gens), structure, tuple(notes))
 
 
 def stable_aut(group: FiniteGroup, field: Fq) -> StableAutProfile:
@@ -265,19 +228,7 @@ def restriction_raw(src: TGroupData, mono: GroupMono, tgt: TGroupData) -> ZMatri
 
 def restriction_on_t(src: TGroupData, mono: GroupMono, tgt: TGroupData) -> AbHom:
     """The map T(src) -> T(tgt) induced by restricting along the mono."""
-    raw = restriction_raw(src, mono, tgt)
-    mat = tgt.to_normal @ raw @ src.from_normal
-    reduced = ZMatrix(
-        [
-            [
-                x % tgt.structure.factors[j] if tgt.structure.factors[j] else x
-                for x in mat.entries[j]
-            ]
-            for j in range(tgt.structure.rank)
-        ],
-        cols=src.structure.rank,
-    )
-    return AbHom(src.structure, tgt.structure, reduced)
+    return hom_from_exponents(src.raw_orders, tgt.raw_orders, restriction_raw(src, mono, tgt))
 
 
 # ---------------------------------------------------------------------------

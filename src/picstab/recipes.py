@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 
-from .exactlin import Fq
-from .groups import FiniteGroup
+from .exactlin import Fq, FqMatrix
+from .groups import FiniteGroup, is_abelian, p_parts
 from . import modrep
 from .modrep import GModule
 
@@ -107,29 +107,10 @@ def recipe_to_str(ast) -> str:
 # canonical characters
 
 
-def _p_prime_part(group: FiniteGroup, p: int) -> tuple[int, int]:
-    """(p-part, p'-part) of |G|."""
-    n = group.order
-    pa = 1
-    while n % p == 0:
-        pa *= p
-        n //= p
-    return pa, n
-
-
-def character_group_order(group: FiniteGroup, field: Fq) -> int:
-    """|Hom(G, k^x)| for an abelian group with cyclic p'-part."""
-    _, m = _p_prime_part(group, field.p)
-    _require_abelian_cyclic_pprime(group, field.p, m)
-    return math.gcd(m, field.q - 1)
-
-
-def _require_abelian_cyclic_pprime(group: FiniteGroup, p: int, m: int) -> int:
-    """Return an element generating the p'-part, or raise."""
-    for a in range(group.order):
-        for b in range(group.order):
-            if group.mult[a][b] != group.mult[b][a]:
-                raise RecipeError("characters need an abelian group")
+def _require_abelian_cyclic_pprime(group: FiniteGroup, m: int) -> int:
+    """Return an element generating the p'-part, of order m, or raise."""
+    if not is_abelian(group):
+        raise RecipeError("characters need an abelian group")
     for x in range(group.order):
         if group.element_order(x) == m:
             return x
@@ -139,8 +120,8 @@ def _require_abelian_cyclic_pprime(group: FiniteGroup, p: int, m: int) -> int:
 def character_module(group: FiniteGroup, field: Fq, power: int) -> GModule:
     """The power-th tensor power of the canonical character, as a rank-1 module."""
     p, q = field.p, field.q
-    pa, m = _p_prime_part(group, p)
-    gen_el = _require_abelian_cyclic_pprime(group, p, m)
+    pa, m = p_parts(group.order, p)
+    gen_el = _require_abelian_cyclic_pprime(group, m)
     c = math.gcd(m, q - 1)
     if c == 1:
         return modrep.trivial_module(group, field)
@@ -157,7 +138,8 @@ def character_module(group: FiniteGroup, field: Fq, power: int) -> GModule:
             if t > m:
                 raise RecipeError("discrete log failed")
         scalars.append(field.pow(zeta, t * power))
-    return modrep.character_module(group, field, scalars, label=f"chi^{power % c}")
+    mats = [FqMatrix.from_rows(field, [[c]]) for c in scalars]
+    return GModule.with_dim(group, field, mats, 1, f"chi^{power % c}")
 
 
 def build_recipe(group: FiniteGroup, field: Fq, ast) -> GModule:

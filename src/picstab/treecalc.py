@@ -22,7 +22,7 @@ from .abgrp import (
     ab_cokernel,
     ab_kernel,
     extension_resolve,
-    presentation_normalize,
+    hom_from_exponents,
 )
 from .exactlin import Fq, ZMatrix
 from .groups import FiniteGroup, GroupMono, cyclic, identity_mono, mono_from_generator_images, quaternion8
@@ -33,6 +33,37 @@ from .picard import TGroupData, t_group
 
 class UnsupportedVertex(ValueError):
     pass
+
+
+class UnionFind:
+    """Disjoint sets of hashable, ordered items; each set's root is its least member."""
+
+    def __init__(self, items=()):
+        self.parent: dict = {x: x for x in items}
+
+    def add(self, x) -> None:
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Merge the sets of a and b; False when they were already one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    def groups(self) -> list[list]:
+        """The sets, each sorted, in the order of their least members."""
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return [sorted(v) for _, v in sorted(out.items())]
 
 
 @dataclass(frozen=True)
@@ -101,31 +132,18 @@ class GraphOfGroups:
                         )
                     if mono is None or mono.source != e.group or mono.target != v.group:
                         raise ValueError("edge monomorphism endpoints do not match")
-        # connectivity over all edges
-        parent = list(range(nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b) -> bool:
-            ra, rb = find(a), find(b)
-            parent[ra] = rb
-            return ra != rb
-
+        reach = UnionFind(range(nv))
         for e in self.edges:
-            union(e.initial, e.terminal)
-        if len({find(v) for v in range(nv)}) != 1:
+            reach.union(e.initial, e.terminal)
+        if len(reach.groups()) != 1:
             raise ValueError("underlying graph is not connected")
         # the marked edges must form a spanning tree
         if len(self.tree_edges) != nv - 1:
             raise ValueError("tree_edges must contain exactly |V| - 1 edges")
-        parent = list(range(nv))
+        tree = UnionFind(range(nv))
         for i in self.tree_edges:
             e = self.edges[i]
-            if not union(e.initial, e.terminal):
+            if not tree.union(e.initial, e.terminal):
                 raise ValueError("tree_edges contain a cycle")
 
     def is_identity_hnn(self) -> bool:
@@ -198,47 +216,52 @@ def _vertex_tgds(v, k: Fq) -> list[TGroupData]:
     raise UnsupportedVertex(f"unknown vertex kind {v!r}")
 
 
-def _block_offsets(sizes: list[int]) -> list[int]:
-    out = [0]
-    for s in sizes:
-        out.append(out[-1] + s)
-    return out
+def _difference_hom(gog: GraphOfGroups, vertex_orders: list[list[int]], edge_maps) -> AbHom:
+    """Res - Res_f : product of the vertex groups -> product of the edge groups.
+
+    ``vertex_orders[v]`` lists the orders of vertex v's raw generators, and
+    ``edge_maps(e)`` returns (edge generator orders, rows of the restriction
+    from the initial vertex, rows of the restriction from the terminal vertex)
+    in raw coordinates.  An identity self-edge restricts both ways by the
+    identity, so its rows, one per coordinate of its vertex, are zero.
+    """
+    v_off = [0]
+    for orders in vertex_orders:
+        v_off.append(v_off[-1] + len(orders))
+    rows: list[list[int]] = []
+    row_orders: list[int] = []
+    for e in gog.edges:
+        if e.group is None:
+            orders, ends = vertex_orders[e.initial], ()
+        else:
+            orders, r_init, r_term = edge_maps(e)
+            ends = ((e.initial, r_init, 1), (e.terminal, r_term, -1))
+        for j, order in enumerate(orders):
+            row = [0] * v_off[-1]
+            for v, res, sign in ends:
+                for i, x in enumerate(res[j]):
+                    row[v_off[v] + i] += sign * x
+            rows.append(row)
+            row_orders.append(order)
+    return hom_from_exponents(
+        sum(vertex_orders, []), row_orders, ZMatrix(rows, cols=v_off[-1])
+    )
 
 
 def t_level_maps(gog: GraphOfGroups, k: Fq) -> AbHom:
     """Res - Res_f : product of vertex T-groups -> product of edge T-groups."""
     vertex_tgds = [_vertex_tgds(v, k) for v in gog.vertices]
-    vertex_orders = [sum((list(t.raw_orders) for t in ts), []) for ts in vertex_tgds]
-    v_off = _block_offsets([len(o) for o in vertex_orders])
-    ncols = v_off[-1]
 
-    rows: list[list[int]] = []
-    row_orders: list[int] = []
-    for e in gog.edges:
-        if e.group is None:
-            base = v_off[e.initial]
-            for i in range(len(vertex_orders[e.initial])):
-                row = [0] * ncols
-                # identity restriction both ways: Res - Res_f = 0 coordinatewise
-                row[base + i] += 1
-                row[base + i] -= 1
-                rows.append(row)
-                row_orders.append(vertex_orders[e.initial][i])
-            continue
+    def edge_maps(e):
         etgd = t_group(e.group, k)
         (src_i,) = vertex_tgds[e.initial]
         (src_t,) = vertex_tgds[e.terminal]
         r_init = picard.restriction_raw(src_i, e.mono_initial, etgd)
         r_term = picard.restriction_raw(src_t, e.mono_terminal, etgd)
-        for j in range(len(etgd.raw_orders)):
-            row = [0] * ncols
-            for i in range(r_init.cols):
-                row[v_off[e.initial] + i] += r_init.entries[j][i]
-            for i in range(r_term.cols):
-                row[v_off[e.terminal] + i] -= r_term.entries[j][i]
-            rows.append(row)
-            row_orders.append(etgd.raw_orders[j])
-    return _normalized_hom(sum(vertex_orders, []), row_orders, rows)
+        return etgd.raw_orders, r_init.entries, r_term.entries
+
+    vertex_orders = [sum((list(t.raw_orders) for t in ts), []) for ts in vertex_tgds]
+    return _difference_hom(gog, vertex_orders, edge_maps)
 
 
 def aut_level_maps(gog: GraphOfGroups, k: Fq) -> AbHom:
@@ -249,52 +272,18 @@ def aut_level_maps(gog: GraphOfGroups, k: Fq) -> AbHom:
     map to a trivial unit group otherwise; each edge row is the difference
     of its two endpoint coordinates.
     """
-    q = k.q
 
-    def slots(v) -> list[int]:
-        if isinstance(v, FiniteVertex):
-            groups = [v.group]
-        else:
-            groups = list(v.parts)
-        return [q - 1 if g.order % k.p == 0 else 1 for g in groups]
+    def units(g: FiniteGroup) -> int:
+        return k.q - 1 if g.order % k.p == 0 else 1
 
-    vertex_slots = [slots(v) for v in gog.vertices]
-    v_off = _block_offsets([len(s) for s in vertex_slots])
-    ncols = v_off[-1]
-    rows: list[list[int]] = []
-    row_orders: list[int] = []
-    for e in gog.edges:
-        if e.group is None:
-            base = v_off[e.initial]
-            for i, order in enumerate(vertex_slots[e.initial]):
-                row = [0] * ncols
-                row[base + i] += 1
-                row[base + i] -= 1
-                rows.append(row)
-                row_orders.append(order)
-            continue
-        order = q - 1 if e.group.order % k.p == 0 else 1
-        row = [0] * ncols
-        row[v_off[e.initial]] += 1
-        row[v_off[e.terminal]] -= 1
-        rows.append(row)
-        row_orders.append(order)
-    return _normalized_hom(sum(vertex_slots, []), row_orders, rows)
+    def edge_maps(e):
+        return [units(e.group)], [[1]], [[1]]
 
-
-def _normalized_hom(src_orders, tgt_orders, raw_rows) -> AbHom:
-    src, _, from_normal_src = presentation_normalize(src_orders)
-    tgt, to_normal_tgt, _ = presentation_normalize(tgt_orders)
-    raw = ZMatrix(raw_rows, cols=len(src_orders))
-    mat = to_normal_tgt @ raw @ from_normal_src
-    reduced = ZMatrix(
-        [
-            [x % tgt.factors[j] if tgt.factors[j] else x for x in mat.entries[j]]
-            for j in range(tgt.rank)
-        ],
-        cols=src.rank,
-    )
-    return AbHom(src, tgt, reduced)
+    vertex_orders = [
+        [units(v.group)] if isinstance(v, FiniteVertex) else [units(g) for g in v.parts]
+        for v in gog.vertices
+    ]
+    return _difference_hom(gog, vertex_orders, edge_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +301,6 @@ class TResult:
     @property
     def is_ambiguous(self) -> bool:
         return isinstance(self.answer, Ambiguous)
-
-    def to_json(self) -> dict:
-        if self.is_ambiguous:
-            answer = {
-                "ambiguous": True,
-                "sub": self.answer.sub.to_json(),
-                "quot": self.answer.quot.to_json(),
-            }
-        else:
-            answer = {"ambiguous": False, **self.answer.to_json()}
-        return {
-            "answer": answer,
-            "scalar_automorphism_cokernel": self.sub.to_json(),
-            "vertex_restriction_kernel": self.quot.to_json(),
-            "rule": self.rule,
-            "provenance": self.provenance,
-        }
 
 
 def compute_t(gog: GraphOfGroups, k: Fq) -> TResult:

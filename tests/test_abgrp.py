@@ -13,7 +13,6 @@ from picstab.abgrp import (
     ab_image,
     ab_kernel,
     extension_resolve,
-    hom_group,
     presentation_normalize,
 )
 from picstab.exactlin import ZMatrix
@@ -84,14 +83,6 @@ def test_direct_sum_crt():
     assert ab_direct_sum([FgAbelian((2,)), FgAbelian((3,))]).factors == (6,)
     assert ab_direct_sum([FgAbelian((2,)), FgAbelian((2,))]).factors == (2, 2)
     assert ab_direct_sum([FgAbelian((0,)), FgAbelian((5,))]).factors == (5, 0)
-
-
-def test_hom_group():
-    assert hom_group(FgAbelian((0, 0)), FgAbelian((3,))).factors == (3, 3)
-    assert hom_group(FgAbelian((2,)), FgAbelian((3,))).is_trivial()
-    assert hom_group(FgAbelian((0,)), FgAbelian((2, 6))).factors == (2, 6)
-    assert hom_group(FgAbelian((4,)), FgAbelian((0,))).is_trivial()
-    assert hom_group(FgAbelian((0,)), FgAbelian((0,))).factors == (0,)
 
 
 def test_extension_resolve_rules():

@@ -265,3 +265,81 @@ def test_verify_command(runner):
     report = json.loads(result.output)
     assert report["ok"] is True
     assert len(report["entries"]) == 10
+
+
+# ---------------------------------------------------------------------------
+# malformed constructions are refused with the path of the offending value
+
+
+def _graph(vertices, edges, tree_edges=()):
+    return {"type": "graph", "vertices": vertices, "edges": edges, "tree_edges": list(tree_edges)}
+
+
+def _c2_edge(frm, to):
+    return {"edge": {"cyclic": 2}, "from": frm, "to": to,
+            "embed_from": {"gen_to": "g"}, "embed_to": {"gen_to": "g"}}
+
+
+FREE_C2_C2 = {"free_product": [{"cyclic": 2}, {"cyclic": 2}]}
+
+BAD_CONSTRUCTIONS = {
+    "edge_to_out_of_range": (
+        _graph([{"cyclic": 2}], [_c2_edge(0, 5)]),
+        "construction.edges[0].to = 5; graph has 1 vertex",
+    ),
+    "edge_from_negative": (
+        _graph([{"cyclic": 2}, {"cyclic": 2}], [_c2_edge(-1, 1)], [0]),
+        "construction.edges[0].from = -1; graph has 2 vertices",
+    ),
+    "edge_into_free_product_vertex": (
+        _graph([{"cyclic": 2}, FREE_C2_C2], [_c2_edge(0, 1)], [0]),
+        "construction.edges[0].to = 1 is a free-product vertex",
+    ),
+    "tree_edge_out_of_range": (
+        _graph([{"cyclic": 2}, {"cyclic": 2}], [_c2_edge(0, 1)], [3]),
+        "construction.tree_edges[0] = 3; graph has 1 edge",
+    ),
+    "missing_embedding": (
+        {key: val for key, val in SL2Z["construction"].items() if key != "embed_right"},
+        "construction.embed_right is missing",
+    ),
+    "missing_edge_embedding": (
+        _graph([{"cyclic": 2}, {"cyclic": 2}],
+               [{key: val for key, val in _c2_edge(0, 1).items() if key != "embed_to"}], [0]),
+        "construction.edges[0].embed_to is missing",
+    ),
+    "factors_not_a_list": (
+        {"type": "free_product", "factors": "C2"},
+        "construction.factors must be a list",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["compute-t", "components"])
+@pytest.mark.parametrize("case", sorted(BAD_CONSTRUCTIONS))
+def test_bad_construction_is_an_input_error(runner, tmp_path, command, case):
+    construction, message = BAD_CONSTRUCTIONS[case]
+    path = write(tmp_path, "bad.json", {"schema": 1, "field": "F2", "construction": construction})
+    args = [command, path] + (["--p", "2"] if command == "components" else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert f"InputError: {message}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_missing_field_is_an_input_error(runner, tmp_path):
+    spec = {key: val for key, val in SL2Z.items() if key != "field"}
+    result = runner.invoke(main, ["compute-t", write(tmp_path, "nofield.json", spec)])
+    assert result.exit_code == 1
+    assert result.stderr.endswith("InputError: field is missing\n")
+
+
+def test_verify_reports_a_typed_error(runner, monkeypatch):
+    def broken(group, field):
+        raise RuntimeError("registry unavailable")
+
+    monkeypatch.setattr("picstab.picard.verify_registry", broken)
+    result = runner.invoke(main, ["verify"])
+    assert result.exit_code == 1
+    assert result.stderr == "RuntimeError: registry unavailable\n"

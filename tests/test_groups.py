@@ -9,7 +9,6 @@ from picstab.groups import (
     build_group,
     cyclic,
     direct_product,
-    elementary_abelian_p_subgroups,
     from_table,
     identity_mono,
     klein4,
@@ -130,13 +129,6 @@ def _prime_divisors(n):
     from picstab.exactlin import factorize
 
     return list(factorize(n))
-
-
-def test_elementary_abelian():
-    assert [s.order for s in elementary_abelian_p_subgroups(quaternion8(), 2)] == [2]
-    assert [s.order for s in elementary_abelian_p_subgroups(cyclic(4), 2)] == [2]
-    assert [s.order for s in elementary_abelian_p_subgroups(cyclic(6), 3)] == [3]
-    assert [s.order for s in elementary_abelian_p_subgroups(klein4(), 2)] == [2, 2, 2, 4]
 
 
 def test_sylow():
