@@ -151,7 +151,9 @@ def presentation_normalize(orders: Sequence[int]):
     return group, to_normal, from_normal
 
 
-def hom_from_exponents(src_orders: Sequence[int], tgt_orders: Sequence[int], raw: ZMatrix) -> AbHom:
+def hom_from_exponents(
+    src_orders: Sequence[int], tgt_orders: Sequence[int], raw: ZMatrix
+) -> AbHom:
     """The map Z^n / <o_i e_i> -> Z^m / <o'_j e_j> given by an exponent matrix.
 
     Column i of ``raw`` holds the image of the i-th source generator, of order

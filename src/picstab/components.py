@@ -76,10 +76,7 @@ def p_components_graph(gog, p: int) -> int:
                 "component counting needs every vertex group to be finite"
             )
     per_vertex = [p_components_finite(v.group, p) for v in gog.vertices]
-    uf = UnionFind()
-    for vi, pc in enumerate(per_vertex):
-        for ci in range(pc.count):
-            uf.add((vi, ci))
+    uf = UnionFind((vi, ci) for vi, pc in enumerate(per_vertex) for ci in range(pc.count))
     for edge in gog.edges:
         edge_classes = p_subgroup_classes(edge.group, p)
         for cls in edge_classes:

@@ -138,7 +138,7 @@ def character_module(group: FiniteGroup, field: Fq, power: int) -> GModule:
             if t > m:
                 raise RecipeError("discrete log failed")
         scalars.append(field.pow(zeta, t * power))
-    mats = [FqMatrix.from_rows(field, [[c]]) for c in scalars]
+    mats = [FqMatrix.from_rows(field, [[s]]) for s in scalars]
     return GModule.with_dim(group, field, mats, 1, f"chi^{power % c}")
 
 

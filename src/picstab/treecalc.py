@@ -41,9 +41,6 @@ class UnionFind:
     def __init__(self, items=()):
         self.parent: dict = {x: x for x in items}
 
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
     def find(self, x):
         while self.parent[x] != x:
             self.parent[x] = self.parent[self.parent[x]]
