@@ -35,19 +35,23 @@ class InputError(ValueError):
 
 
 def parse_field(spec) -> Fq:
+    """A field from "F<q>", or from {"p": p, "deg": e} given as an object or as JSON text."""
     if isinstance(spec, str):
-        spec = spec.strip()
-        if spec.upper().startswith("F"):
-            q = int(spec[1:])
+        text = spec.strip()
+        if text[:1].upper() == "F" and text[1:].isdigit():
+            q = int(text[1:])
             fac = factorize(q)
             if len(fac) != 1:
                 raise InputError(f"{q} is not a prime power")
             ((p, e),) = fac.items()
             return fq_make(p, e)
-        spec = json.loads(spec)
-    if not isinstance(spec, dict) or "p" not in spec:
-        raise InputError(f"bad field description {spec!r}")
-    return fq_make(int(spec["p"]), int(spec.get("deg", 1)))
+        try:
+            spec = json.loads(text)
+        except json.JSONDecodeError:
+            pass  # refused below, quoting the text
+    if not (isinstance(spec, dict) and _is_int(spec.get("p")) and _is_int(spec.get("deg", 1))):
+        raise InputError(f'field = {json.dumps(spec)} is not "F<q>" or {{"p": <int>, "deg": <int>}}')
+    return fq_make(spec["p"], spec.get("deg", 1))
 
 
 def parse_group(spec) -> FiniteGroup:
@@ -66,7 +70,9 @@ def parse_group(spec) -> FiniteGroup:
     return build_group(spec)
 
 
-def _parse_embed(embed, edge: FiniteGroup, target: FiniteGroup):
+def _parse_embed(obj, key: str, path: str, edge: FiniteGroup, target: FiniteGroup):
+    """The monomorphism edge -> target given by obj[key]: "id", or generator images."""
+    embed = _get(obj, key, path)
     if embed in ("id", {"id": True}):
         if edge != target:
             raise InputError("identity embedding needs edge group equal to vertex group")
@@ -79,7 +85,11 @@ def _parse_embed(embed, edge: FiniteGroup, target: FiniteGroup):
         words = embed
     if isinstance(words, str):
         words = [words]
-    return mono_from_generator_images(edge, target, list(words))
+    if not isinstance(words, list) or not all(
+        isinstance(w, str) or (_is_int(w) and 0 <= w < target.order) for w in words
+    ):
+        raise InputError(f'{path}.{key} = {json.dumps(embed)} is not "id" or generator images')
+    return mono_from_generator_images(edge, target, words)
 
 
 def _get(obj, key: str, path: str, kind: type | None = None):
@@ -100,8 +110,14 @@ def _parse_vertex(spec, path: str):
     return treecalc.FiniteVertex(parse_group(spec))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not 1
+
+
 def _check_index(i, items: list | tuple, path: str, noun: str, nouns: str) -> int:
-    i, n = int(i), len(items)
+    if not _is_int(i):
+        raise InputError(f"{path} = {json.dumps(i)} must be an integer")
+    n = len(items)
     if not 0 <= i < n:
         raise InputError(f"{path} = {i}; graph has {n} {noun if n == 1 else nouns}")
     return i
@@ -133,7 +149,7 @@ def _parse_graph(cons: dict) -> treecalc.GraphOfGroups:
                     f"{path}.{end} = {v} is a free-product vertex; "
                     "only identity self-edges may touch it"
                 )
-            monos.append(_parse_embed(_get(e, f"embed_{end}", path), edge, vertices[v].group))
+            monos.append(_parse_embed(e, f"embed_{end}", path, edge, vertices[v].group))
         edges.append(treecalc.Edge(edge, iv, tv, *monos))
     tree_specs = _get(cons, "tree_edges", "construction", list) if "tree_edges" in cons else []
     tree = tuple(
@@ -160,8 +176,8 @@ def parse_construction(cons: dict):
             left,
             right,
             edge,
-            _parse_embed(_get(cons, "embed_left", "construction"), edge, left),
-            _parse_embed(_get(cons, "embed_right", "construction"), edge, right),
+            _parse_embed(cons, "embed_left", "construction", edge, left),
+            _parse_embed(cons, "embed_right", "construction", edge, right),
         )
         return ("gog", gog)
     if kind == "hnn":
@@ -174,8 +190,8 @@ def parse_construction(cons: dict):
         gog = treecalc.hnn(
             vertex.group,
             edge,
-            _parse_embed(_get(cons, "embed_initial", "construction"), edge, vertex.group),
-            _parse_embed(_get(cons, "embed_terminal", "construction"), edge, vertex.group),
+            _parse_embed(cons, "embed_initial", "construction", edge, vertex.group),
+            _parse_embed(cons, "embed_terminal", "construction", edge, vertex.group),
         )
         return ("gog", gog)
     if kind == "free_product":

@@ -1,11 +1,11 @@
 """Modules over kG for a finite group G and a finite field k.
 
-A module is stored as one invertible matrix per group generator; matrices
-for all group elements are expanded at construction and every product
-relation from the multiplication table is verified.  On top of that sit the
-stable-category operations: syzygies, duals, tensor products, stable homs
-(maps modulo those factoring through a projective), projective stripping,
-stable isomorphism testing, endotriviality, and Tate H^0.
+A module is stored as one invertible matrix per group generator.  GModule()
+checks them against the whole multiplication table; modules that library
+operations build are checked when their element matrices are first built.
+On top of that sit the stable-category operations: syzygies, duals, tensor
+products, stable homs (maps modulo those factoring through a projective),
+projective stripping, stable isomorphism testing, endotriviality, Tate H^0.
 
 Everything is exact and deterministic.  The projective indecomposables come
 from the group's structure (the regular module of a p-group, or modules
@@ -67,69 +67,65 @@ class DimensionTooLarge(ValueError):
 
 
 class GModule:
-    """A kG-module: one invertible generator matrix per group generator."""
+    """A kG-module: one invertible generator matrix per group generator.
+
+    The constructor raises ValueError unless the matrices satisfy every
+    product of the multiplication table.  Library operations build their
+    results with ``_make``, which defers that check to the first :meth:`act`.
+    """
 
     __slots__ = ("group", "field", "dim", "gen_action", "label", "_cache")
 
-    def __init__(self, group: FiniteGroup, field: Fq, gen_action, label="M", check=True):
+    def __init__(self, group: FiniteGroup, field: Fq, gen_action, label="M"):
         gen_action = tuple(gen_action)
         if len(gen_action) != len(group.generators):
             raise ValueError("need one matrix per group generator")
         if not gen_action:
-            raise ValueError("group has no generators; use GModule.with_dim")
+            raise ValueError("group has no generators, so the dimension is not given")
         dims = {a.rows for a in gen_action} | {a.cols for a in gen_action}
         if len(dims) != 1:
             raise ValueError("generator matrices must be square of equal size")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "gen_action", gen_action)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "dim", dims.pop())
-        if check:
-            self._element_action()  # expands all products and verifies relations
+        self._set(group, field, gen_action, dims.pop(), label)
+        self._element_action()
+
+    @classmethod
+    def _make(cls, group, field, gen_action, dim: int, label: str) -> "GModule":
+        """A module built from valid modules; dim is given for the trivial group's sake."""
+        self = object.__new__(cls)
+        self._set(group, field, tuple(gen_action), dim, label)
+        return self
+
+    def _set(self, group, field, gen_action, dim, label) -> None:
+        for name, value in (("group", group), ("field", field), ("gen_action", gen_action),
+                            ("dim", dim), ("label", label), ("_cache", {})):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("GModule is immutable")
 
-    @classmethod
-    def with_dim(cls, group, field, gen_action, dim, label="M", check=True):
-        """Constructor that also works for the trivial group (no generators)."""
-        if group.generators:
-            return cls(group, field, gen_action, label, check)
-        self = object.__new__(cls)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "gen_action", ())
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "dim", dim)
-        return self
-
     def _element_action(self) -> tuple[FqMatrix, ...]:
+        """The matrix of every group element, built once by a breadth-first walk.
+
+        Each (element x, generator g) product is formed once: the first to
+        reach x * g defines its matrix and every later one must equal it, which
+        by induction on word length checks the whole multiplication table.
+        """
         acts = self._cache.get("elements")
         if acts is not None:
             return acts
         g = self.group
-        n = g.order
-        acts_l: list[FqMatrix | None] = [None] * n
+        acts_l: list[FqMatrix | None] = [None] * g.order
         acts_l[0] = FqMatrix.identity(self.field, self.dim)
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
+        reached = [0]
+        for x in reached:  # grows while it is walked
             for k, gi in enumerate(g.generators):
                 y = g.mult[x][gi]
+                prod = acts_l[x] @ self.gen_action[k]
                 if acts_l[y] is None:
-                    acts_l[y] = acts_l[x] @ self.gen_action[k]
-                    frontier.append(y)
-        # every (element, generator) product: by induction this pins down all
-        # products of the multiplication table
-        for x in range(n):
-            for k, gi in enumerate(g.generators):
-                if acts_l[x] @ self.gen_action[k] != acts_l[g.mult[x][gi]]:
-                    raise ValueError(
-                        f"generator matrices violate the relation {x} * gen{k}"
-                    )
+                    acts_l[y] = prod
+                    reached.append(y)
+                elif prod != acts_l[y]:
+                    raise ValueError(f"generator matrices violate the relation {x} * gen{k}")
         acts = tuple(acts_l)
         self._cache["elements"] = acts
         return acts
@@ -138,7 +134,7 @@ class GModule:
         return self._element_action()[element]
 
     def relabel(self, label: str) -> "GModule":
-        out = GModule.with_dim(self.group, self.field, self.gen_action, self.dim, label, check=False)
+        out = GModule._make(self.group, self.field, self.gen_action, self.dim, label)
         out._cache.update(self._cache)
         return out
 
@@ -155,12 +151,12 @@ def _same_base(m: GModule, n: GModule) -> None:
 
 def zero_module(group: FiniteGroup, field: Fq) -> GModule:
     z = FqMatrix.zeros(field, 0, 0)
-    return GModule.with_dim(group, field, [z] * len(group.generators), 0, "0", check=False)
+    return GModule._make(group, field, [z] * len(group.generators), 0, "0")
 
 
 def trivial_module(group: FiniteGroup, field: Fq) -> GModule:
     one = FqMatrix.identity(field, 1)
-    return GModule.with_dim(group, field, [one] * len(group.generators), 1, "k", check=False)
+    return GModule._make(group, field, [one] * len(group.generators), 1, "k")
 
 
 def regular_module(group: FiniteGroup, field: Fq) -> GModule:
@@ -171,21 +167,19 @@ def regular_module(group: FiniteGroup, field: Fq) -> GModule:
         for x in range(n):
             a[group.mult[gi][x], x] = 1
         mats.append(FqMatrix(field, a))
-    return GModule.with_dim(group, field, mats, n, f"k{group.name}")
+    return GModule._make(group, field, mats, n, f"k{group.name}")
 
 
 def dual(m: GModule) -> GModule:
     g = m.group
     mats = [m.act(g.inv(gi)).t() for gi in g.generators]
-    return GModule.with_dim(g, m.field, mats, m.dim, f"({m.label})*", check=False)
+    return GModule._make(g, m.field, mats, m.dim, f"({m.label})*")
 
 
 def tensor(m: GModule, n: GModule) -> GModule:
     _same_base(m, n)
     mats = [a.kron(b) for a, b in zip(m.gen_action, n.gen_action)]
-    return GModule.with_dim(
-        m.group, m.field, mats, m.dim * n.dim, f"{m.label}(x){n.label}", check=False
-    )
+    return GModule._make(m.group, m.field, mats, m.dim * n.dim, f"{m.label}(x){n.label}")
 
 
 def direct_sum(group: FiniteGroup, field: Fq, mods) -> GModule:
@@ -205,7 +199,7 @@ def direct_sum(group: FiniteGroup, field: Fq, mods) -> GModule:
             off += x.dim
         mats.append(FqMatrix(field, a))
     label = " + ".join(x.label for x in mods)
-    return GModule.with_dim(group, field, mats, dim, label, check=False)
+    return GModule._make(group, field, mats, dim, label)
 
 
 def restrict(m: GModule, mono: GroupMono) -> GModule:
@@ -213,9 +207,7 @@ def restrict(m: GModule, mono: GroupMono) -> GModule:
     if mono.target != m.group:
         raise GroupMismatch("mono does not land in the module's group")
     mats = [m.act(mono(gi)) for gi in mono.source.generators]
-    return GModule.with_dim(
-        mono.source, m.field, mats, m.dim, f"{m.label}|{mono.source.name}"
-    )
+    return GModule._make(mono.source, m.field, mats, m.dim, f"{m.label}|{mono.source.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +268,7 @@ def submodule(m: GModule, basis: FqMatrix, label="S") -> tuple[GModule, GMap]:
         z = zero_module(m.group, m.field)
         return z, GMap(z, m, FqMatrix.zeros(m.field, m.dim, 0))
     mats = [solve(basis, a @ basis) for a in m.gen_action]
-    sub = GModule.with_dim(m.group, m.field, mats, basis.cols, label)
+    sub = GModule._make(m.group, m.field, mats, basis.cols, label)
     return sub, GMap(sub, m, basis)
 
 
@@ -294,7 +286,7 @@ def quotient_module(m: GModule, sub_basis: FqMatrix, label="Q") -> tuple[GModule
     t_inv = inverse(t_mat)
     pi = FqMatrix(f, t_inv.a[k:, :])
     mats = [pi @ a @ comp for a in m.gen_action]
-    quot = GModule.with_dim(m.group, m.field, mats, len(comp_cols), label)
+    quot = GModule._make(m.group, m.field, mats, len(comp_cols), label)
     return quot, GMap(m, quot, pi)
 
 
@@ -499,7 +491,7 @@ def _induce_from_complement(s: GModule, incl: GroupMono, normal: Subgroup) -> GM
             i2, j = split[g.mult[gi][x]]
             a[i2 * d : (i2 + 1) * d, i * d : (i + 1) * d] = s.act(j).a
         mats.append(FqMatrix(f, a))
-    return GModule.with_dim(g, f, mats, n, f"Ind({s.label})")
+    return GModule._make(g, f, mats, n, f"Ind({s.label})")
 
 
 def pims(group: FiniteGroup, field: Fq) -> tuple[GModule, ...]:
@@ -703,72 +695,58 @@ def _is_p_group(group: FiniteGroup, p: int) -> bool:
     return set(factorize(group.order)) <= {p}
 
 
-def _strip_free_once(m: GModule) -> GModule | None:
-    """Split off one free summand of a module over a p-group in char p.
+def _split_pim(m: GModule) -> tuple[GModule, GMap] | None:
+    """A PIM P and a map m -> P that splits, or None when m has no projective summand.
 
-    Over a p-group the socle of kG is spanned by the norm element, so kG.v is
-    free exactly when norm.v != 0, and freeness makes the inclusion split; the
-    retraction is Sigma_g lam(g^-1 x) g for a functional lam that is 1 at v
-    and 0 on the rest of the orbit.
+    P is a summand exactly when some fin: P -> m and fout: m -> P compose to
+    an automorphism of P; fin is then injective, so ker(fout) is a complement.
     """
-    g, f = m.group, m.field
-    norm = FqMatrix.zeros(f, m.dim, m.dim)
-    for x in range(g.order):
-        norm = norm + m.act(x)
-    nz = np.nonzero(norm.a.any(axis=0))[0]
-    if nz.size == 0:
-        return None
-    v = FqMatrix(f, np.eye(m.dim, dtype=np.int64)[:, [int(nz[0])]])
-    orbit = hstack([m.act(g.inv(x)) @ v for x in range(g.order)])
-    lam = solve(orbit.t(), FqMatrix(f, np.eye(g.order, dtype=np.int64)[:, [0]]))
-    retraction = vstack([(lam.t() @ m.act(g.inv(x))) for x in range(g.order)])
-    comp = kernel_basis(retraction)
-    if comp.cols != m.dim - g.order:
-        raise AssertionError("free-summand retraction has wrong rank")
-    sub, _ = submodule(m, comp, m.label)
-    return sub
+    for p_i in pims(m.group, m.field):
+        out_maps = hom_space(m, p_i)
+        for fin in hom_space(p_i, m):
+            for fout in out_maps:
+                if is_invertible(fout.matrix @ fin.matrix):
+                    return p_i, fout
+    return None
 
 
 def strip_projectives(m: GModule) -> tuple[GModule, GModule]:
-    """m = core + projective part, with the core free of projective summands."""
+    """m = core + projective part, with the core free of projective summands.
+
+    Over a p-group in characteristic p every projective is free, and the
+    socle of kG is the line of the norm N = sum_g g, so m has r = rank(N)
+    free summands.  They split off in one step: with v_1..v_r such that the
+    N v_i are independent and functionals lam_j with lam_j(N v_i) = delta_ij,
+    x -> sum_g lam_j(g^-1 x) g e_j is a retraction of m onto kG^r, and the
+    core is its kernel, cut out by the r|G| rows lam_j g^-1.  Other groups
+    split off one PIM at a time.
+    """
     g, f = m.group, m.field
-    core = m
-    split: list[GModule] = []
     if g.order % f.p:
         # semisimple group algebra: everything is projective
         return zero_module(g, f), m
-    if _is_p_group(g, f.p) and g.order > 1:
-        reg = regular_module(g, f)
-        while core.dim:
-            nxt = _strip_free_once(core)
-            if nxt is None:
-                break
-            core = nxt
-            split.append(reg)
+    core = m
+    split: list[GModule] = []
+    if _is_p_group(g, f.p):
+        norm = FqMatrix.zeros(f, m.dim, m.dim)
+        for x in range(g.order):
+            norm = norm + m.act(x)
+        _, pivots, r = rref(norm)
+        if r:
+            images = FqMatrix(f, norm.a[:, list(pivots)])  # N v_i for v_i the pivot unit vectors
+            lam = solve(images.t(), FqMatrix.identity(f, r)).t()
+            retraction = vstack([lam @ m.act(g.inv(x)) for x in range(g.order)])
+            comp = kernel_basis(retraction)
+            if comp.cols != m.dim - r * g.order:
+                raise AssertionError("free-summand retraction has wrong rank")
+            core, _ = submodule(m, comp, m.label)
+            split = [regular_module(g, f)] * r
     else:
-        while core.dim:
-            found = False
-            for p_i in pims(g, f):
-                in_maps = hom_space(p_i, core)
-                out_maps = hom_space(core, p_i)
-                for fin in in_maps:
-                    for fout in out_maps:
-                        comp = fout.matrix @ fin.matrix
-                        if is_invertible(comp):
-                            idem = fin.matrix @ inverse(comp) @ fout.matrix
-                            comp_basis = kernel_basis(idem)
-                            core, _ = submodule(core, comp_basis, core.label)
-                            split.append(p_i)
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if not found:
-                break
-    projpart = direct_sum(g, f, split) if split else zero_module(g, f)
-    return core.relabel(f"core({m.label})"), projpart
+        while core.dim and (found := _split_pim(core)) is not None:
+            p_i, fout = found
+            core, _ = submodule(core, kernel_basis(fout.matrix), core.label)
+            split.append(p_i)
+    return core.relabel(f"core({m.label})"), direct_sum(g, f, split)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def character_module(group: FiniteGroup, field: Fq, power: int) -> GModule:
                 raise RecipeError("discrete log failed")
         scalars.append(field.pow(zeta, t * power))
     mats = [FqMatrix.from_rows(field, [[s]]) for s in scalars]
-    return GModule.with_dim(group, field, mats, 1, f"chi^{power % c}")
+    return GModule._make(group, field, mats, 1, f"chi^{power % c}")
 
 
 def build_recipe(group: FiniteGroup, field: Fq, ast) -> GModule:

@@ -139,6 +139,8 @@ class GraphOfGroups:
             raise ValueError("tree_edges must contain exactly |V| - 1 edges")
         tree = UnionFind(range(nv))
         for i in self.tree_edges:
+            if not 0 <= i < len(self.edges):
+                raise ValueError(f"tree edge index {i} is not in 0..{len(self.edges) - 1}")
             e = self.edges[i]
             if not tree.union(e.initial, e.terminal):
                 raise ValueError("tree_edges contain a cycle")

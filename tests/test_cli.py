@@ -312,6 +312,26 @@ BAD_CONSTRUCTIONS = {
         {"type": "free_product", "factors": "C2"},
         "construction.factors must be a list",
     ),
+    "embedding_not_a_word": (
+        {**SL2Z["construction"], "embed_left": 5},
+        'construction.embed_left = 5 is not "id" or generator images',
+    ),
+    "embedding_index_out_of_range": (
+        {**SL2Z["construction"], "embed_left": [99]},
+        'construction.embed_left = [99] is not "id" or generator images',
+    ),
+    "edge_from_not_a_number": (
+        _graph([{"cyclic": 2}, {"cyclic": 2}], [_c2_edge("x", 1)], [0]),
+        'construction.edges[0].from = "x" must be an integer',
+    ),
+    "edge_from_fractional": (
+        _graph([{"cyclic": 2}, {"cyclic": 2}], [_c2_edge(0.7, 1)], [0]),
+        "construction.edges[0].from = 0.7 must be an integer",
+    ),
+    "tree_edge_boolean": (
+        _graph([{"cyclic": 2}, {"cyclic": 2}], [_c2_edge(0, 1)], [True]),
+        "construction.tree_edges[0] = true must be an integer",
+    ),
 }
 
 
@@ -333,6 +353,16 @@ def test_missing_field_is_an_input_error(runner, tmp_path):
     result = runner.invoke(main, ["compute-t", write(tmp_path, "nofield.json", spec)])
     assert result.exit_code == 1
     assert result.stderr.endswith("InputError: field is missing\n")
+
+
+@pytest.mark.parametrize("field", ["F", "Fx", {"p": "x"}, {"p": 2, "deg": True}])
+def test_bad_field_is_an_input_error(runner, tmp_path, field):
+    path = write(tmp_path, "badfield.json", {**SL2Z, "field": field})
+    result = runner.invoke(main, ["compute-t", path])
+    assert result.exit_code == 1
+    assert result.stderr.endswith(
+        f'InputError: field = {json.dumps(field)} is not "F<q>" or {{"p": <int>, "deg": <int>}}\n'
+    )
 
 
 def test_verify_reports_a_typed_error(runner, monkeypatch):

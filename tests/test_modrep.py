@@ -5,9 +5,11 @@ from picstab.exactlin import FqMatrix, fq_make, hstack, rank
 from picstab.groups import (
     cyclic,
     direct_product,
+    is_abelian,
     klein4,
     mono_from_generator_images,
     quaternion8,
+    subgroup_inclusion_group,
     sylow_subgroup,
 )
 from picstab.modrep import (
@@ -26,6 +28,7 @@ from picstab.modrep import (
     module_iso,
     pims,
     projective_cover,
+    quotient_module,
     radical,
     regular_module,
     restrict,
@@ -39,6 +42,7 @@ from picstab.modrep import (
     trivial_module,
     zero_module,
 )
+from picstab.recipes import character_module
 
 
 def omega(m, n=1):
@@ -71,6 +75,44 @@ def test_relations_are_verified(F2):
         GModule(c4, fq_make(3, 1), [bad])
     good = FqMatrix.from_rows(F2, [[0, 1], [1, 0]])  # order 2 matrix: g^4 = 1 holds
     GModule(c4, F2, [good])
+    # each matrix below has its generator's order, so only a relation that
+    # mixes the generators fails: ab = ba on V4, and y x y^-1 = x^-1 on Q8
+    # (with x = y of order 4 it would need x = x^-1)
+    a, b = FqMatrix.from_rows(F2, [[0, 1], [1, 0]]), FqMatrix.from_rows(F2, [[1, 1], [0, 1]])
+    i4 = FqMatrix.from_rows(fq_make(3, 1), [[0, 1], [2, 0]])
+    for g, f, mats in ((klein4(), F2, [a, b]), (quaternion8(), fq_make(3, 1), [i4, i4])):
+        with pytest.raises(ValueError, match="violate the relation"):
+            GModule(g, f, mats)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("name", ["C6", "C12", "S3", "A4", "Q8"])
+def test_closed_operations_satisfy_the_relations(request, name, q):
+    # library operations build their results unchecked; every result must
+    # still pass the validating constructor
+    named = {"C6": cyclic(6), "C12": cyclic(12), "Q8": quaternion8()}
+    g = named[name] if name in named else request.getfixturevalue(name.lower())
+    f = fq_make(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
+    k, reg = trivial_module(g, f), regular_module(g, f)
+    om = syzygy(k)
+    _, incl = subgroup_inclusion_group(sylow_subgroup(g, 2))
+    outputs = [
+        reg,
+        restrict(reg, incl),
+        restrict(om, incl),
+        om,
+        quotient_module(reg, radical(reg))[0],
+        cosyzygy(k),
+        dual(om),
+        tensor(om, dual(om)),
+        strip_projectives(tensor(om, dual(om)))[0],
+        direct_sum(g, f, [k, om]),
+        *pims(g, f),
+    ]
+    if is_abelian(g):
+        outputs += [character_module(g, f, i) for i in range(3)]
+    for m in outputs:
+        GModule(m.group, m.field, m.gen_action)
 
 
 def test_mismatch_errors(F2, F3):

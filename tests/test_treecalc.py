@@ -54,6 +54,14 @@ def test_graph_tree_edges_reject_a_cycle():
         GraphOfGroups(tuple(FiniteVertex(c2) for _ in range(3)), edges, (0, 1))
 
 
+@pytest.mark.parametrize("tree, bad", [((-1, 0), -1), ((0, 5), 5)])
+def test_graph_tree_edges_reject_an_index_out_of_range(tree, bad):
+    # a negative index used to wrap to the last edge; one past the end gave IndexError
+    g = free_product([cyclic(2), cyclic(2), cyclic(3)])
+    with pytest.raises(ValueError, match=rf"tree edge index {bad} is not in 0\.\.1"):
+        GraphOfGroups(g.vertices, g.edges, tree)
+
+
 def test_graph_checks_mono_endpoints():
     c2, c4 = cyclic(2), cyclic(4)
     wrong = mono_from_generator_images(c2, c4, ["g^2"])
