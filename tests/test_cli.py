@@ -231,6 +231,16 @@ def test_components_command(runner, tmp_path):
     assert sorted(c["orders"][0] for c in report["classes"]) == [2, 4, 4, 4, 8]
 
 
+@pytest.mark.parametrize("construction", [{"group": "C4"}, SL2Z["construction"]],
+                         ids=["group", "graph"])
+def test_components_refuses_a_non_prime(runner, tmp_path, construction):
+    path = write(tmp_path, "c4.json", {"schema": 1, "construction": construction})
+    result = runner.invoke(main, ["components", path, "--p", "4"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.endswith("4 is not prime\n")
+
+
 def test_restrict_class_command(runner):
     result = runner.invoke(
         main,

@@ -57,6 +57,11 @@ CASES = {
         0,
     ),
     "components_group_c4xc2": (["components", "group_c4xc2.json", "--p", "2"], 0),
+    # S4: a non-normal Sylow subgroup at both primes, classes of size 3 and 6
+    "components_group_s4_p2": (["components", "group_s4.json", "--p", "2"], 0),
+    "components_group_s4_p3": (["components", "group_s4.json", "--p", "3"], 0),
+    # C6 *_C3 C6 at p = 2: the edge group has no 2-torsion, so nothing glues
+    "components_c6_c3c6_p2": (["components", "c6_c3c6_f4.json", "--p", "2"], 0),
     "snf_text": (["snf", "--format", "text", "matrix.json"], 0),
     "verify_text": (["verify", "--format", "text"], 0),
     # one failing invocation per command: the typed error on stderr, exit 1
