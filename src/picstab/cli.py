@@ -17,8 +17,8 @@ from pathlib import Path
 import click
 
 from .abgrp import FgAbelian
-from .exactlin import Fq, ZMatrix, det, factorize, fq_make, smith_normal_form
-from .groups import FiniteGroup, build_group, mono_from_generator_images
+from .exactlin import Fq, ZMatrix, det, factorize, fq_make, is_prime, smith_normal_form
+from .groups import FiniteGroup, InvalidTable, _is_int, build_group, mono_from_generator_images
 from . import components as components_mod
 from . import modrep, picard, treecalc
 from .recipes import build_recipe, parse_recipe, recipe_to_str
@@ -51,10 +51,16 @@ def parse_field(spec) -> Fq:
             pass  # refused below, quoting the text
     if not (isinstance(spec, dict) and _is_int(spec.get("p")) and _is_int(spec.get("deg", 1))):
         raise InputError(f'field = {json.dumps(spec)} is not "F<q>" or {{"p": <int>, "deg": <int>}}')
-    return fq_make(spec["p"], spec.get("deg", 1))
+    p, deg = spec["p"], spec.get("deg", 1)
+    if not is_prime(p):
+        raise InputError(f"field.p = {p} is not prime")
+    if deg < 1:
+        raise InputError(f"field.deg = {deg} must be at least 1")
+    return fq_make(p, deg)
 
 
-def parse_group(spec) -> FiniteGroup:
+def parse_group(spec, path: str = "group") -> FiniteGroup:
+    """A group from a shorthand ("C6", "Q8", "V4"), JSON text or a description at ``path``."""
     if isinstance(spec, str):
         text = spec.strip()
         if text.startswith("{"):
@@ -67,7 +73,10 @@ def parse_group(spec) -> FiniteGroup:
             spec = {"cyclic": int(text[1:])}
         else:
             raise InputError(f"unknown group shorthand {spec!r}")
-    return build_group(spec)
+    try:
+        return build_group(spec, path)
+    except InvalidTable as ex:
+        raise InputError(str(ex)) from None
 
 
 def _parse_embed(obj, key: str, path: str, edge: FiniteGroup, target: FiniteGroup):
@@ -105,13 +114,11 @@ def _get(obj, key: str, path: str, kind: type | None = None):
 
 def _parse_vertex(spec, path: str):
     if isinstance(spec, dict) and "free_product" in spec:
-        parts = tuple(parse_group(s) for s in _get(spec, "free_product", path, list))
-        return treecalc.ProfileVertex(parts)
-    return treecalc.FiniteVertex(parse_group(spec))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not 1
+        parts = _get(spec, "free_product", path, list)
+        return treecalc.ProfileVertex(
+            tuple(parse_group(s, f"{path}.free_product[{i}]") for i, s in enumerate(parts))
+        )
+    return treecalc.FiniteVertex(parse_group(spec, path))
 
 
 def _check_index(i, items: list | tuple, path: str, noun: str, nouns: str) -> int:
@@ -141,7 +148,7 @@ def _parse_graph(cons: dict) -> treecalc.GraphOfGroups:
         if e.get("edge") == "id" or e.get("identity"):
             edges.append(treecalc.Edge(None, iv, tv, None, None))
             continue
-        edge = parse_group(_get(e, "edge", path))
+        edge = parse_group(_get(e, "edge", path), f"{path}.edge")
         monos = []
         for end, v in (("from", iv), ("to", tv)):
             if not isinstance(vertices[v], treecalc.FiniteVertex):
@@ -164,13 +171,15 @@ def parse_construction(cons: dict):
     if not isinstance(cons, dict):
         raise InputError("construction must be an object")
     if "profile" in cons:
-        return ("profile", cons["profile"], parse_group(_get(cons, "of", "construction")))
+        of = parse_group(_get(cons, "of", "construction"), "construction.of")
+        return ("profile", cons["profile"], of)
     if "group" in cons:
-        return ("group", parse_group(cons["group"]))
+        return ("group", parse_group(cons["group"], "construction.group"))
     kind = cons.get("type")
     if kind == "amalgam":
         left, right, edge = (
-            parse_group(_get(cons, key, "construction")) for key in ("left", "right", "edge")
+            parse_group(_get(cons, key, "construction"), f"construction.{key}")
+            for key in ("left", "right", "edge")
         )
         gog = treecalc.amalgam(
             left,
@@ -186,7 +195,7 @@ def parse_construction(cons: dict):
             if cons.get("embed_initial", "id") != "id" or cons.get("embed_terminal", "id") != "id":
                 raise InputError("profile vertices support only identity embeddings")
             return ("gog", treecalc.z_times(vertex))
-        edge = parse_group(_get(cons, "edge", "construction"))
+        edge = parse_group(_get(cons, "edge", "construction"), "construction.edge")
         gog = treecalc.hnn(
             vertex.group,
             edge,
@@ -195,7 +204,8 @@ def parse_construction(cons: dict):
         )
         return ("gog", gog)
     if kind == "free_product":
-        groups = [parse_group(s) for s in _get(cons, "factors", "construction", list)]
+        factors = _get(cons, "factors", "construction", list)
+        groups = [parse_group(s, f"construction.factors[{i}]") for i, s in enumerate(factors)]
         return ("gog", treecalc.free_product(groups))
     if kind == "graph":
         return ("gog", _parse_graph(cons))
@@ -477,7 +487,7 @@ def cmd_components(input_file, prime):
 def cmd_restrict_class(group, subgroup, embed, field, recipe):
     """Restrict a module and identify its class in T(subgroup)."""
     g = parse_group(group)
-    h = parse_group(subgroup)
+    h = parse_group(subgroup, "subgroup")
     k = parse_field(field)
     words = [w.strip() for w in embed.split(",")]
     mono = mono_from_generator_images(h, g, words)

@@ -9,12 +9,14 @@ that serialized homomorphisms stay portable:
   y x y^-1 = x^-1.
 * ``product(A, B)``: the pair (a, b) sits at index a*|B| + b.
 
-Groups are immutable; all derived data (inverses, orders, subgroup lists)
-is computed on demand and cached.
+Groups are immutable; inverses and Sylow subgroups are computed on demand
+and cached.  The library grows subgroups by cyclic extension; only the test
+reference ``all_subgroups`` closes the whole subgroup lattice.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
@@ -57,14 +59,7 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         inv = self._cache.get("inv")
         if inv is None:
-            inv = [0] * self.order
-            for x in range(self.order):
-                for y in range(self.order):
-                    if self.mult[x][y] == 0:
-                        inv[x] = y
-                        break
-            inv = tuple(inv)
-            self._cache["inv"] = inv
+            inv = self._cache["inv"] = tuple(row.index(0) for row in self.mult)
         return inv[a]
 
     def element_order(self, a: int) -> int:
@@ -216,34 +211,49 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 
 def from_table(mult, name: str = "G") -> FiniteGroup:
-    mult = tuple(tuple(int(x) for x in row) for row in mult)
     gens = _generating_set(mult)
     names = tuple(f"e{i}" if i else "1" for i in range(len(mult)))
     gen_names = tuple(f"e{i}" for i in gens)
     return _make(name, mult, gens, names, gen_names)
 
 
-def build_group(spec) -> FiniteGroup:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not 1
+
+
+def build_group(spec, path: str = "group") -> FiniteGroup:
     """Build a group from a JSON-style description.
 
     Accepted forms: {"cyclic": n}, {"quaternion8": true}, {"klein4": true},
-    {"product": [spec, spec]}, {"table": [[...]]}.
+    {"product": [spec, spec]}, {"table": [[...]]}.  A malformed size, factor
+    list or table raises InvalidTable naming its path, with ``path`` naming
+    ``spec`` itself.
     """
     if isinstance(spec, FiniteGroup):
         return spec
     if not isinstance(spec, dict) or len(spec) != 1:
         raise InvalidTable(f"bad group description: {spec!r}")
     key, val = next(iter(spec.items()))
+    where = f"{path}.{key}"
     if key == "cyclic":
-        return cyclic(int(val))
+        if not (_is_int(val) and val >= 1):
+            raise InvalidTable(f"{where} = {json.dumps(val)} must be a positive integer")
+        return cyclic(val)
     if key == "quaternion8":
         return quaternion8()
     if key == "klein4":
         return klein4()
     if key == "product":
-        left, right = val
-        return direct_product(build_group(left), build_group(right))
+        if not (isinstance(val, list) and len(val) == 2):
+            raise InvalidTable(f"{where} must be a list of two groups")
+        left, right = (build_group(v, f"{where}[{i}]") for i, v in enumerate(val))
+        return direct_product(left, right)
     if key == "table":
+        n = len(val) if isinstance(val, list) else 0
+        if not n or not all(isinstance(r, list) and len(r) == n for r in val) or not all(
+            _is_int(x) and 0 <= x < n for r in val for x in r
+        ):
+            raise InvalidTable(f"{where} must be n >= 1 rows of n integers in 0..n-1")
         return from_table(val)
     raise InvalidTable(f"unknown group constructor {key!r}")
 
@@ -305,11 +315,12 @@ class Subgroup:
 
 
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup, found by closing the lattice under one-element extensions."""
-    key = "subgroups"
-    cached = g._cache.get(key)
-    if cached is not None:
-        return list(cached)
+    """Every subgroup, found by closing the lattice under one-element extensions.
+
+    No library code calls this: the library grows only the subgroups it needs
+    by :func:`_solvable_subgroups`.  It stays public as the reference that
+    tests compare against, and because the benchmark traces it by name.
+    """
     seen = {frozenset({0})}
     frontier = [frozenset({0})]
     while frontier:
@@ -321,30 +332,49 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
             if k not in seen:
                 seen.add(k)
                 frontier.append(k)
-    subs = sorted(seen, key=lambda s: (len(s), sorted(s)))
-    out = [Subgroup(g, s) for s in subs]
-    g._cache[key] = tuple(out)
-    return out
+    return [Subgroup(g, s) for s in sorted(seen, key=lambda s: (len(s), sorted(s)))]
+
+
+def _solvable_subgroups(g: FiniteGroup, primes: frozenset[int]) -> list[Subgroup]:
+    """Every solvable subgroup whose order has no prime factor outside ``primes``.
+
+    Cyclic extension (Cannon, Cox and Holt, J. Symbolic Comput. 31, 2001): a
+    solvable H > 1 has a normal subgroup K of prime index r, so
+    H = K u xK u ... u x^(r-1)K for an x that normalises K with x^r in K.
+    Growing from {1} by such steps, with r in ``primes``, reaches each of
+    these subgroups and no other.  Sorted as :func:`all_subgroups` sorts.
+    """
+    seen = {frozenset({0})}
+    frontier = [frozenset({0})]
+    while frontier:
+        k = frontier.pop()
+        covered = set(k)  # an x inside a prime-index extension of k gives that extension
+        for x in range(1, g.order):
+            if x in covered:
+                continue
+            powers, y = [0], x
+            while y not in k:
+                powers.append(y)
+                y = g.mult[y][x]
+            if len(powers) not in primes or any(g.conjugate(x, h) not in k for h in k):
+                continue
+            ext = frozenset(g.mult[y][h] for y in powers for h in k)
+            covered |= ext
+            if ext not in seen:
+                seen.add(ext)
+                frontier.append(ext)
+    return [Subgroup(g, s) for s in sorted(seen, key=lambda s: (len(s), sorted(s)))]
 
 
 def conjugacy_classes_of_subgroups(subs: list[Subgroup]) -> list[list[Subgroup]]:
-    if not subs:
-        return []
-    g = subs[0].parent
-    index = {s.elements: i for i, s in enumerate(subs)}
-    assigned: dict[int, int] = {}
+    """The conjugacy classes of the subgroups in ``subs``, which is closed under conjugation."""
     classes: list[list[Subgroup]] = []
-    for i, s in enumerate(subs):
-        if i in assigned:
-            continue
-        cls_members = sorted(
-            {s.conjugate_by(x).elements for x in range(g.order)},
-            key=sorted,
-        )
-        cid = len(classes)
-        classes.append([Subgroup(g, m) for m in cls_members])
-        for m in cls_members:
-            assigned[index[m]] = cid
+    assigned: set[frozenset[int]] = set()
+    for s in subs:
+        if s.elements not in assigned:
+            members = sorted({s.conjugate_by(x).elements for x in range(s.parent.order)}, key=sorted)
+            assigned.update(members)
+            classes.append([Subgroup(s.parent, m) for m in members])
     return classes
 
 
@@ -352,11 +382,7 @@ def p_subgroup_classes(g: FiniteGroup, p: int) -> list[list[Subgroup]]:
     """Conjugacy classes of the non-trivial p-subgroups."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    psubs = [
-        s
-        for s in all_subgroups(g)
-        if s.order > 1 and set(factorize(s.order)) == {p}
-    ]
+    psubs = _solvable_subgroups(g, frozenset({p}))[1:]  # [0] is the trivial subgroup
     return conjugacy_classes_of_subgroups(psubs)
 
 
@@ -374,7 +400,7 @@ def sylow_subgroup(g: FiniteGroup, p: int) -> Subgroup:
 
     When the p-elements are closed under multiplication they form a p-subgroup
     containing every other, so they are the unique (and normal) Sylow
-    subgroup; only otherwise is the subgroup lattice enumerated.
+    subgroup; only otherwise are the p-subgroups grown by cyclic extension.
     """
     key = ("sylow", p)
     cached = g._cache.get(key)
@@ -382,10 +408,7 @@ def sylow_subgroup(g: FiniteGroup, p: int) -> Subgroup:
         return cached
     best = _closed_by_order(g, lambda n: set(factorize(n)) <= {p})
     if best is None:
-        best = Subgroup(g, frozenset({0}))
-        for s in all_subgroups(g):
-            if set(factorize(s.order)) <= {p} and s.order > best.order:
-                best = s
+        best = max(_solvable_subgroups(g, frozenset({p})), key=lambda s: s.order)
     g._cache[key] = best
     return best
 
@@ -395,7 +418,8 @@ def sylow_complement(g: FiniteGroup, p: int) -> Subgroup:
 
     Schur-Zassenhaus guarantees that a subgroup of order |G:P| exists.  When
     the p'-elements are closed under multiplication they are that subgroup;
-    otherwise it is taken from the subgroup lattice.
+    otherwise it is grown by cyclic extension, which finds it as H is solvable:
+    p | |G| there, so |H| <= 100, and |H| = 60 would need p >= 7, |G| >= 420.
     """
     syl = sylow_subgroup(g, p)
     if not syl.is_normal():
@@ -404,7 +428,9 @@ def sylow_complement(g: FiniteGroup, p: int) -> Subgroup:
     h = _closed_by_order(g, lambda n: n % p != 0)
     if h is not None:
         return h
-    return next(s for s in all_subgroups(g) if s.order == index)
+    return next(
+        s for s in _solvable_subgroups(g, frozenset(factorize(index))) if s.order == index
+    )
 
 
 # ---------------------------------------------------------------------------

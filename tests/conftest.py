@@ -49,10 +49,15 @@ def s3():
 
 
 @pytest.fixture(scope="session")
-def a4():
+def s4():
+    """S4: neither its Sylow 2-subgroup nor its Sylow 3-subgroup is normal."""
+    return perm_group(4, "S4")
+
+
+@pytest.fixture(scope="session")
+def a4(s4):
     """The alternating group A4, the order-12 subgroup of S4: its Sylow
     2-subgroup is normal but its 2'-elements (1 and the 3-cycles) are not closed."""
-    s4 = perm_group(4, "S4")
     (even,) = [s for s in all_subgroups(s4) if s.order == 12]
     return subgroup_inclusion_group(even, "A4")[0]
 

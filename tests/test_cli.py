@@ -342,6 +342,38 @@ BAD_CONSTRUCTIONS = {
         _graph([{"cyclic": 2}, {"cyclic": 2}], [_c2_edge(0, 1)], [True]),
         "construction.tree_edges[0] = true must be an integer",
     ),
+    "cyclic_fractional": (
+        {**SL2Z["construction"], "left": {"cyclic": 6.9}},
+        "construction.left.cyclic = 6.9 must be a positive integer",
+    ),
+    "cyclic_boolean": (
+        _graph([{"cyclic": True}, {"cyclic": 2}], [_c2_edge(0, 1)], [0]),
+        "construction.vertices[0].cyclic = true must be a positive integer",
+    ),
+    "cyclic_not_a_number": (
+        {**SL2Z["construction"], "edge": {"cyclic": "x"}},
+        'construction.edge.cyclic = "x" must be a positive integer',
+    ),
+    "cyclic_inside_product": (
+        {**SL2Z["construction"], "right": {"product": [{"cyclic": 2}, {"cyclic": 0}]}},
+        "construction.right.product[1].cyclic = 0 must be a positive integer",
+    ),
+    "product_of_one": (
+        {**SL2Z["construction"], "right": {"product": [{"cyclic": 2}]}},
+        "construction.right.product must be a list of two groups",
+    ),
+    "table_ragged": (
+        {"type": "free_product", "factors": [{"cyclic": 2}, {"table": [[0, 1], [1]]}]},
+        "construction.factors[1].table must be n >= 1 rows of n integers in 0..n-1",
+    ),
+    "table_empty": (
+        {"group": {"table": []}},
+        "construction.group.table must be n >= 1 rows of n integers in 0..n-1",
+    ),
+    "table_entry_out_of_range": (
+        {"group": {"table": [[0, 1], [1, 5]]}},
+        "construction.group.table must be n >= 1 rows of n integers in 0..n-1",
+    ),
 }
 
 
@@ -373,6 +405,18 @@ def test_bad_field_is_an_input_error(runner, tmp_path, field):
     assert result.stderr.endswith(
         f'InputError: field = {json.dumps(field)} is not "F<q>" or {{"p": <int>, "deg": <int>}}\n'
     )
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"p": 2, "deg": 0}, "field.deg = 0 must be at least 1"),
+    ({"p": 4}, "field.p = 4 is not prime"),
+    ('{"p": 1, "deg": 2}', "field.p = 1 is not prime"),
+], ids=["deg_zero", "p_not_prime", "p_one_as_text"])
+def test_field_out_of_range_is_an_input_error(runner, tmp_path, field, message):
+    path = write(tmp_path, "badfield.json", {**SL2Z, "field": field})
+    result = runner.invoke(main, ["compute-t", path])
+    assert result.exit_code == 1
+    assert result.stderr.endswith(f"InputError: {message}\n")
 
 
 def test_verify_reports_a_typed_error(runner, monkeypatch):

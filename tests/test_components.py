@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from picstab.components import (
@@ -7,7 +9,14 @@ from picstab.components import (
     stable_end_decomposition,
 )
 from picstab.groups import cyclic, klein4, quaternion8
-from picstab.treecalc import FiniteVertex, ProfileVertex, amalgam, free_product, z_times
+from picstab.treecalc import (
+    FiniteVertex,
+    ProfileVertex,
+    UnionFind,
+    amalgam,
+    free_product,
+    z_times,
+)
 
 
 def test_components_q8():
@@ -54,6 +63,26 @@ def test_normal_p_subgroup_forces_one_component(groups):
                 assert p_components_finite(g, p).count == 1
 
 
+def _glued_by_inclusion(classes):
+    """Reference: merge classes whenever a member of one contains a member of the other."""
+    uf = UnionFind(range(len(classes)))
+    for i, j in combinations(range(len(classes)), 2):
+        if any(
+            a.elements <= b.elements or b.elements <= a.elements
+            for a in classes[i]
+            for b in classes[j]
+        ):
+            uf.union(i, j)
+    return tuple(tuple(c) for c in uf.groups())
+
+
+def test_sylow_components_agree_with_inclusion_gluing(s3, s4, a4, groups):
+    for g in [s3, s4, a4, *groups.values()]:
+        for p in (2, 3, 5):
+            pc = p_components_finite(g, p)
+            assert pc.components == _glued_by_inclusion(pc.classes), (g.name, p)
+
+
 def test_graph_free_product_c2_c2():
     gog = free_product([cyclic(2), cyclic(2)])
     assert p_components_graph(gog, 2) == 2
@@ -69,6 +98,12 @@ def test_graph_free_product_c2_c3():
 def test_graph_amalgam_glues():
     gog = amalgam(cyclic(6), cyclic(4), cyclic(2), ["g^3"], ["g^2"])
     assert p_components_graph(gog, 2) == 1
+
+
+def test_graph_edge_prime_to_p_does_not_glue():
+    gog = amalgam(cyclic(6), cyclic(6), cyclic(3), ["g^2"], ["g^4"])
+    assert p_components_graph(gog, 2) == 2
+    assert p_components_graph(gog, 3) == 1
 
 
 def test_graph_single_vertex_matches_finite():

@@ -7,6 +7,7 @@ from picstab.groups import (
     NotInjective,
     all_subgroups,
     build_group,
+    conjugacy_classes_of_subgroups,
     cyclic,
     direct_product,
     from_table,
@@ -112,17 +113,31 @@ def test_p_subgroup_classes_empty():
     assert p_subgroup_classes(cyclic(3), 2) == []
 
 
-def test_p_classes_partition_and_prime_power(s3):
-    for g, p in [(s3, 2), (s3, 3), (quaternion8(), 2)]:
-        classes = p_subgroup_classes(g, p)
-        seen = [m.elements for cls in classes for m in cls]
-        assert len(seen) == len(set(seen))
-        expected = [
-            s.elements
-            for s in all_subgroups(g)
-            if s.order > 1 and all(q == p for q in _prime_divisors(s.order))
-        ]
-        assert set(seen) == set(expected)
+def test_p_classes_partition_and_prime_power(s3, s4, a4):
+    c2, c4 = cyclic(2), cyclic(4)
+    c2_5 = direct_product(direct_product(direct_product(c2, c2), direct_product(c2, c2)), c2)
+    groups = [
+        s3,
+        quaternion8(),
+        s4,
+        direct_product(a4, c2),
+        direct_product(s3, s3),
+        c2_5,
+        direct_product(direct_product(c4, c4), cyclic(3)),
+        direct_product(quaternion8(), cyclic(3)),
+    ]
+    for g in groups:
+        for p in (2, 3):
+            classes = p_subgroup_classes(g, p)
+            seen = [m.elements for cls in classes for m in cls]
+            assert len(seen) == len(set(seen))
+            expected = [
+                s
+                for s in all_subgroups(g)
+                if s.order > 1 and all(q == p for q in _prime_divisors(s.order))
+            ]
+            # the same classes, members and order as when taken from the lattice
+            assert classes == conjugacy_classes_of_subgroups(expected), (g.name, p)
 
 
 def _prime_divisors(n):
@@ -144,21 +159,32 @@ def _lattice_sylow(g, p):
     return max(ps, key=lambda s: s.order)
 
 
-def test_sylow_agrees_with_lattice(s3):
+def test_sylow_agrees_with_lattice(s3, s4, a4):
     c2 = cyclic(2)
     c2_4 = direct_product(direct_product(c2, c2), direct_product(c2, c2))
-    groups = [cyclic(n) for n in range(1, 13)] + [quaternion8(), klein4(), c2_4, s3]
+    groups = [cyclic(n) for n in range(1, 13)] + [
+        quaternion8(), klein4(), c2_4, s3, s4, a4, direct_product(s3, s3)
+    ]
     for g in groups:
         for p in (2, 3):
             assert sylow_subgroup(g, p) == _lattice_sylow(g, p), (g.name, p)
 
 
 def test_sylow_complement(s3, a4):
-    cases = [(cyclic(12), 2, 3), (cyclic(12), 3, 4), (s3, 3, 2), (cyclic(5), 5, 1), (a4, 2, 3)]
+    cases = [
+        (cyclic(12), 2, 3),
+        (cyclic(12), 3, 4),
+        (s3, 3, 2),
+        (cyclic(5), 5, 1),
+        (a4, 2, 3),
+        (direct_product(a4, cyclic(2)), 2, 3),
+        (direct_product(s3, s3), 3, 4),
+    ]
     for g, p, order in cases:
         h = sylow_complement(g, p)
         assert h.order == order and h.elements & sylow_subgroup(g, p).elements == {0}
-        assert h in all_subgroups(g)
+        # the first subgroup of that order in the lattice, as before cyclic extension
+        assert h == next(s for s in all_subgroups(g) if s.order == order), (g.name, p)
     with pytest.raises(ValueError):
         sylow_complement(s3, 2)
 
