@@ -127,13 +127,14 @@ def test_p_classes_partition_and_prime_power(s3, s4, a4):
         direct_product(quaternion8(), cyclic(3)),
     ]
     for g in groups:
+        lattice = all_subgroups(g)
         for p in (2, 3):
             classes = p_subgroup_classes(g, p)
             seen = [m.elements for cls in classes for m in cls]
             assert len(seen) == len(set(seen))
             expected = [
                 s
-                for s in all_subgroups(g)
+                for s in lattice
                 if s.order > 1 and all(q == p for q in _prime_divisors(s.order))
             ]
             # the same classes, members and order as when taken from the lattice
