@@ -238,7 +238,7 @@ def _quotient_with_transforms(gens: ZMatrix, rels: ZMatrix):
     if m == 0:
         return FgAbelian(()), gens, ZMatrix.zeros(0, 0)
     coords = _solve_integer(gens, rels)
-    u, uinv, d, _, _ = _snf_with_inverses(coords)
+    u, uinv, d, _ = _snf_with_inverses(coords)
     diag = list(d.diagonal_entries()) + [0] * (m - min(d.rows, d.cols))
     keep = [i for i, di in enumerate(diag) if di != 1]
     ordered = [keep[i] for i in _chain_order([diag[i] for i in keep])]
@@ -250,7 +250,7 @@ def _quotient_with_transforms(gens: ZMatrix, rels: ZMatrix):
 
 def _solve_integer(a: ZMatrix, b: ZMatrix) -> ZMatrix:
     """X with a @ X = b, for b inside the column lattice of a."""
-    u, _, d, v, _ = _snf_with_inverses(a)
+    u, _, d, v = _snf_with_inverses(a)
     ub = u @ b
     diag = d.diagonal_entries()
     r = sum(1 for x in diag if x != 0)
@@ -297,7 +297,7 @@ def ab_kernel(h: AbHom) -> tuple[FgAbelian, AbHom]:
 
 
 def _z_kernel(m: ZMatrix) -> ZMatrix:
-    _, _, d, v, _ = _snf_with_inverses(m)
+    _, _, d, v = _snf_with_inverses(m)
     diag = d.diagonal_entries()
     r = sum(1 for x in diag if x != 0)
     return v.take_cols(range(r, m.cols))
@@ -307,7 +307,7 @@ def _lattice_basis(cols: ZMatrix, n: int) -> ZMatrix:
     """A basis of the lattice spanned by the given columns in Z^n."""
     if cols.cols == 0:
         return ZMatrix.zeros(n, 0)
-    u, uinv, d, _, _ = _snf_with_inverses(cols)
+    u, uinv, d, _ = _snf_with_inverses(cols)
     diag = d.diagonal_entries()
     r = sum(1 for x in diag if x != 0)
     basis = uinv.take_cols(range(r))

@@ -64,7 +64,10 @@ def parse_group(spec, path: str = "group") -> FiniteGroup:
     if isinstance(spec, str):
         text = spec.strip()
         if text.startswith("{"):
-            spec = json.loads(text)
+            try:
+                spec = json.loads(text)
+            except json.JSONDecodeError as ex:
+                raise InputError(f"{path}: not valid JSON ({ex})") from None
         elif text.upper() == "Q8":
             spec = {"quaternion8": True}
         elif text.upper() in ("V4", "K4", "KLEIN4"):

@@ -665,9 +665,9 @@ def det(m: ZMatrix) -> int:
 
 
 def _snf_with_inverses(m: ZMatrix):
-    """Smith normal form with accumulated transforms and their inverses.
+    """Smith normal form with accumulated transforms and the inverse of U.
 
-    Returns (U, Uinv, D, V, Vinv) with U m V = D.  The pivot at each step is
+    Returns (U, Uinv, D, V) with U m V = D.  The pivot at each step is
     a nonzero entry of least absolute value in the remaining block, which
     keeps intermediate entries small.
     """
@@ -676,7 +676,6 @@ def _snf_with_inverses(m: ZMatrix):
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     ui = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    vi = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -689,7 +688,6 @@ def _snf_with_inverses(m: ZMatrix):
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     def row_add(dst, src, c):
         # row_dst += c * row_src; the inverse picks up col_src -= c * col_dst
@@ -709,7 +707,6 @@ def _snf_with_inverses(m: ZMatrix):
             r[dst] += c * r[src]
         for r in v:
             r[dst] += c * r[src]
-        vi[src] = [x - c * y for x, y in zip(vi[src], vi[dst])]
 
     t = 0
     n = min(rows, cols)
@@ -764,13 +761,12 @@ def _snf_with_inverses(m: ZMatrix):
         ZMatrix(ui, cols=rows),
         ZMatrix(d, cols=cols),
         ZMatrix(v, cols=cols),
-        ZMatrix(vi, cols=cols),
     )
 
 
 def smith_normal_form(m: ZMatrix) -> tuple[ZMatrix, ZMatrix, ZMatrix]:
     """U, D, V with U m V = D, U and V unimodular, D = diag(d1 | d2 | ...)."""
-    u, _, d, v, _ = _snf_with_inverses(m)
+    u, _, d, v = _snf_with_inverses(m)
     return u, d, v
 
 

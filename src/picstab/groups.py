@@ -99,10 +99,16 @@ def p_parts(n: int, p: int) -> tuple[int, int]:
     return pa, n
 
 
-def _validate_table(mult: tuple[tuple[int, ...], ...]) -> None:
+def _checked_table(mult) -> tuple[tuple[int, ...], ...]:
+    """The table as tuples, refused unless it is a group table within the order cap."""
+    mult = tuple(tuple(int(x) for x in row) for row in mult)
     n = len(mult)
+    if n > MAX_GROUP_ORDER:
+        raise InvalidTable(f"group order {n} exceeds cap {MAX_GROUP_ORDER}")
+    if not n or any(len(row) != n for row in mult):
+        raise InvalidTable("table must be a non-empty square")
     t = np.array(mult, dtype=np.int64).reshape(n, n)
-    if t.shape != (n, n) or np.any(t < 0) or np.any(t >= n):
+    if np.any(t < 0) or np.any(t >= n):
         raise InvalidTable("entries out of range")
     if not (np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))):
         raise InvalidTable("element 0 is not an identity")
@@ -112,6 +118,7 @@ def _validate_table(mult: tuple[tuple[int, ...], ...]) -> None:
     # associativity: T[T[a,b],c] == T[a,T[b,c]] for all triples, vectorised
     if not np.array_equal(t[t, :], t[:, t]):
         raise InvalidTable("multiplication is not associative")
+    return mult
 
 
 def _closure(mult, elems) -> frozenset[int]:
@@ -146,10 +153,7 @@ def _generating_set(mult) -> tuple[int, ...]:
 
 
 def _make(name, mult, generators, element_names, gen_names) -> FiniteGroup:
-    mult = tuple(tuple(int(x) for x in row) for row in mult)
-    if len(mult) > MAX_GROUP_ORDER:
-        raise InvalidTable(f"group order {len(mult)} exceeds cap {MAX_GROUP_ORDER}")
-    _validate_table(mult)
+    mult = _checked_table(mult)
     g = FiniteGroup(name, mult, tuple(generators), tuple(element_names), tuple(gen_names))
     if _closure(mult, g.generators) != frozenset(range(len(mult))):
         raise InvalidTable("generators do not generate")
@@ -211,10 +215,11 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 
 def from_table(mult, name: str = "G") -> FiniteGroup:
-    gens = _generating_set(mult)
+    mult = _checked_table(mult)
+    gens = _generating_set(mult)  # generates by construction
     names = tuple(f"e{i}" if i else "1" for i in range(len(mult)))
     gen_names = tuple(f"e{i}" for i in gens)
-    return _make(name, mult, gens, names, gen_names)
+    return FiniteGroup(name, mult, gens, names, gen_names)
 
 
 def _is_int(value) -> bool:

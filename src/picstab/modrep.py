@@ -4,8 +4,10 @@ A module is stored as one invertible matrix per group generator.  GModule()
 checks them against the whole multiplication table; modules that library
 operations build are checked when their element matrices are first built.
 On top of that sit the stable-category operations: syzygies, duals, tensor
-products, stable homs (maps modulo those factoring through a projective),
-projective stripping, stable isomorphism testing, endotriviality, Tate H^0.
+products, stable homs (maps modulo the image of Higman's transfer),
+projective stripping, stable isomorphism (exact when either side is
+indecomposable; compare decomposable pairs summand by summand),
+endotriviality, Tate H^0.
 
 Everything is exact and deterministic.  The projective indecomposables come
 from the group's structure (the regular module of a p-group, or modules
@@ -56,10 +58,6 @@ class GroupMismatch(ValueError):
 
 class FieldMismatch(ValueError):
     pass
-
-
-class SearchExhausted(RuntimeError):
-    """The deterministic invertibility search hit its bound without an answer."""
 
 
 class DimensionTooLarge(ValueError):
@@ -233,12 +231,10 @@ class GMap:
     def compose(self, inner: "GMap") -> "GMap":
         return GMap(inner.source, self.target, self.matrix @ inner.matrix)
 
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
 
-
-def _vec(mat: FqMatrix) -> np.ndarray:
-    return mat.a.reshape(-1)
+def _vec(mat: FqMatrix) -> FqMatrix:
+    """The entries of mat as one column, row by row: hom_space's coordinates."""
+    return FqMatrix(mat.field, mat.a.reshape(-1, 1))
 
 
 def hom_space(m: GModule, n: GModule) -> list[GMap]:
@@ -530,41 +526,33 @@ def pims(group: FiniteGroup, field: Fq) -> tuple[GModule, ...]:
 
 
 def projective_cover(m: GModule) -> tuple[GModule, GMap]:
-    """Minimal projective cover (P, P ->> m): kernel inside rad(P)."""
+    """Minimal projective cover (P, P ->> m): kernel inside rad(P).
+
+    Each h: P_i -> m maps onto a simple or zero part of top(m), so keeping the
+    h that grow the covered span covers top(m) minimally, and by Nakayama the
+    kept h together map onto m.
+    """
     g, f = m.group, m.field
     if m.dim == 0:
         z = zero_module(g, f)
         return z, GMap(z, m, FqMatrix.zeros(f, 0, 0))
     top, pi = quotient_module(m, radical(m), label=f"top({m.label})")
-    chosen: list[tuple[GModule, GMap]] = []
+    chosen: list[GMap] = []
     im = FqMatrix.zeros(f, top.dim, 0)
     for p_i in pims(g, f):
         if im.cols == top.dim:
             break
-        for fmap in hom_space(p_i, top):
-            if fmap.is_zero():
-                continue
-            grown = hstack([im, fmap.matrix])
-            if rank(grown) > im.cols:
-                im = column_space_basis(grown)
-                chosen.append((p_i, fmap))
+        for h in hom_space(p_i, m):
+            grown = column_space_basis(hstack([im, pi.matrix @ h.matrix]))
+            if grown.cols > im.cols:
+                im = grown
+                chosen.append(h)
                 if im.cols == top.dim:
                     break
     if im.cols != top.dim:
         raise AssertionError("projective indecomposables failed to cover the top")
-    lifts = []
-    for p_i, fmap in chosen:
-        homs = hom_space(p_i, m)
-        cols = hstack([FqMatrix(f, _vec(pi.matrix @ h.matrix).reshape(-1, 1)) for h in homs])
-        coeffs = solve(cols, FqMatrix(f, _vec(fmap.matrix).reshape(-1, 1)))
-        lift = FqMatrix.zeros(f, m.dim, p_i.dim)
-        for j, h in enumerate(homs):
-            c = int(coeffs.a[j, 0])
-            if c:
-                lift = lift + h.matrix.scale(c)
-        lifts.append(lift)
-    cover_mod = direct_sum(g, f, [p for p, _ in chosen])
-    cover_map = GMap(cover_mod, m, hstack(lifts))
+    cover_mod = direct_sum(g, f, [h.source for h in chosen])
+    cover_map = GMap(cover_mod, m, hstack([h.matrix for h in chosen]))
     if rank(cover_map.matrix) != m.dim:
         raise AssertionError("cover map is not surjective")
     return cover_mod, cover_map
@@ -640,10 +628,7 @@ class StableHomSpace:
         return [self.full[j] for j in range(self.full_dim) if j not in self.phom_pivots]
 
     def coordinates(self, gmap: GMap) -> FqMatrix:
-        cols = hstack(
-            [FqMatrix(self.source.field, _vec(h.matrix).reshape(-1, 1)) for h in self.full]
-        )
-        return solve(cols, FqMatrix(self.source.field, _vec(gmap.matrix).reshape(-1, 1)))
+        return solve(hstack([_vec(h.matrix) for h in self.full]), _vec(gmap.matrix))
 
     def class_vector(self, gmap: GMap) -> np.ndarray:
         """Canonical coset representative of the map's class modulo PHom."""
@@ -662,26 +647,19 @@ class StableHomSpace:
 def stable_hom(m: GModule, n: GModule) -> StableHomSpace:
     """Hom(m, n) together with the subspace of maps factoring through a projective.
 
-    Any map through a projective lifts along the projective cover of the
-    target, so PHom(m, n) is the image of Hom(m, P(n)) under composition with
-    the cover map.
+    By Higman's criterion a map factors through a projective exactly when it
+    is a transfer sum_x x h x^-1 of a k-linear h: m -> n.  In the row-major
+    _vec coordinates of hom_space the transfer is the matrix
+    sum_x kron(n.act(x), m.act(x^-1)^T), so PHom(m, n) is its column space.
     """
-    f = m.field
+    f, g = m.field, m.group
     full = hom_space(m, n)
-    p_n, cover = projective_cover(n)
-    through = hom_space(m, p_n)
     if full:
-        cols = hstack([FqMatrix(f, _vec(h.matrix).reshape(-1, 1)) for h in full])
-        coords = []
-        for h in through:
-            composed = cover.matrix @ h.matrix
-            coords.append(solve(cols, FqMatrix(f, _vec(composed).reshape(-1, 1))))
-        if coords:
-            ph = hstack(coords).t()
-            red, pivots, _ = rref(ph)
-            red = FqMatrix(f, red.a[: len(pivots), :])
-        else:
-            red, pivots = FqMatrix.zeros(f, 0, len(full)), ()
+        transfer = FqMatrix.zeros(f, n.dim * m.dim, n.dim * m.dim)
+        for x in range(g.order):
+            transfer = transfer + n.act(x).kron(m.act(g.inv(x)).t())
+        red, pivots, r = rref(solve(hstack([_vec(h.matrix) for h in full]), transfer).t())
+        red = FqMatrix(f, red.a[:r, :])
     else:
         red, pivots = FqMatrix.zeros(f, 0, 0), ()
     return StableHomSpace(m, n, tuple(full), red, tuple(pivots))
@@ -754,47 +732,25 @@ def strip_projectives(m: GModule) -> tuple[GModule, GModule]:
 
 
 def module_iso(m: GModule, n: GModule) -> GMap | None:
-    """An isomorphism m -> n, or None.
+    """The first hom-basis map m -> n that is invertible, or None.
 
-    Searches single hom-basis elements (which decides a one-dimensional hom
-    space), then sums of two and three; for fields with at most 4 elements
-    and hom dimension at most 12 it falls back to exhaustive search (first
-    nonzero coefficient normalised to 1), and otherwise raises
-    SearchExhausted rather than guessing.
+    Exact whenever m or n is indecomposable: say n is, then End(n) is local
+    (Fitting's lemma), so if some phi: m -> n is invertible the maps that are
+    not form the proper subspace rad End(n) . phi, which holds no basis.
+    Compare two decomposable modules through their summands (Krull-Schmidt).
+    Library callers meet the contract: ``identify`` compares cores of
+    endotrivial modules, which are indecomposable; ``stable_iso``, from
+    ``is_endotrivial`` and ``verify_generator``, compares with k or Omega^n k;
+    ``_distinct_summands`` compares indecomposable summands.
     """
     if m.dim != n.dim:
         return None
     if m.dim == 0:
         return GMap(m, n, FqMatrix.zeros(m.field, 0, 0))
-    homs = hom_space(m, n)
-    if not homs:
-        return None
-    mats = [h.matrix for h in homs]
-    for a in mats:
-        if is_invertible(a):
-            return GMap(m, n, a)
-    if len(mats) == 1:
-        return None  # every map is a scalar multiple of the single basis map
-    for a, b in combinations(mats, 2):
-        c = a + b
-        if is_invertible(c):
-            return GMap(m, n, c)
-    for a, b, c in combinations(mats, 3):
-        d = a + b + c
-        if is_invertible(d):
-            return GMap(m, n, d)
-    q, h = m.field.q, len(mats)
-    if q <= 4 and h <= 12:
-        for lead in range(h):
-            for tail in iproduct(range(q), repeat=h - 1 - lead):
-                cand = mats[lead]
-                for k, coef in enumerate(tail):
-                    if coef:
-                        cand = cand + mats[lead + 1 + k].scale(coef)
-                if is_invertible(cand):
-                    return GMap(m, n, cand)
-        return None
-    raise SearchExhausted(f"no invertible map found within search bounds (hom dim {h})")
+    for h in hom_space(m, n):
+        if is_invertible(h.matrix):
+            return h
+    return None
 
 
 def stable_iso(m: GModule, n: GModule) -> bool:

@@ -11,6 +11,7 @@ from picstab.groups import (
     quaternion8,
     subgroup_inclusion_group,
 )
+from picstab.modrep import indecomposable_summands, module_iso
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +73,25 @@ def groups():
         "V4": klein4(),
         "Q8": quaternion8(),
     }
+
+
+@pytest.fixture(scope="session")
+def isomorphic_by_summands():
+    """Whether two modules are isomorphic, by Krull-Schmidt.
+
+    ``module_iso`` is exact only when one side is indecomposable, so the
+    indecomposable summands of both sides are matched one-to-one with it.
+    """
+
+    def check(m, n) -> bool:
+        left, right = indecomposable_summands(m), indecomposable_summands(n)
+        if len(left) != len(right):
+            return False
+        for part in left:
+            match = next((r for r in right if module_iso(part, r) is not None), None)
+            if match is None:
+                return False
+            right.remove(match)
+        return True
+
+    return check

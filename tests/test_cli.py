@@ -419,6 +419,20 @@ def test_field_out_of_range_is_an_input_error(runner, tmp_path, field, message):
     assert result.stderr.endswith(f"InputError: {message}\n")
 
 
+@pytest.mark.parametrize("args, path", [
+    (["stable-end", '{"cyclic": ', "F2"], "group"),
+    (["restrict-class", "--group", "C4", "--subgroup", '{"cyclic": ', "--embed", "g^2",
+      "--field", "F2", "--module", "trivial"], "subgroup"),
+], ids=["group", "subgroup"])
+def test_truncated_group_json_is_an_input_error(runner, args, path):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"InputError: {path}: not valid JSON (Expecting value: line 1 column 11 (char 10))\n"
+    )
+
+
 def test_verify_reports_a_typed_error(runner, monkeypatch):
     def broken(group, field):
         raise RuntimeError("registry unavailable")

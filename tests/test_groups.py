@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from picstab.exactlin import factorize
@@ -71,6 +73,17 @@ def test_invalid_tables_rejected():
     # associativity failure: a 3x3 latin square with identity that is not a group
     with pytest.raises(InvalidTable):
         from_table([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+
+
+def test_tables_are_checked_before_generators_are_chosen():
+    # refused before the greedy generating-set search, which would take seconds
+    # over the cap and index out of range on a bad entry
+    start = time.perf_counter()
+    with pytest.raises(InvalidTable, match="exceeds cap"):
+        from_table([[(i + j) % 201 for j in range(201)] for i in range(201)])
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(InvalidTable, match="out of range"):
+        from_table([[0, 1], [1, 5]])
 
 
 def test_subgroups_c6():
