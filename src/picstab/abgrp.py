@@ -2,59 +2,30 @@
 
 A group is a list of invariant factors d1 | d2 | ... | dr with di >= 0,
 where 0 encodes an infinite cyclic factor; factors equal to 1 are dropped.
-Kernels, cokernels and images of homomorphisms are computed by Smith normal
-form on integer presentations.
+One routine gives every normal form: the Smith normal form of a relation
+matrix, read by ``_quotient_with_transforms``.  Direct sums, kernels,
+cokernels and images all reduce to a presentation Z^m / (relations).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
-from functools import reduce
-from itertools import product as iproduct, zip_longest
+from dataclasses import dataclass
+from itertools import product as iproduct
 from typing import Iterator, Sequence
 
-from .exactlin import ZMatrix, _snf_with_inverses, factorize
+from .exactlin import ZMatrix, _snf_with_inverses
 
 
 class IllDefinedHom(ValueError):
     pass
 
 
-def _normalize_factors(factors: Sequence[int]) -> tuple[int, ...]:
-    """Recombine arbitrary cyclic orders into an invariant-factor chain.
-
-    Works prime by prime: for each prime, sort the exponents descending; the
-    k-th invariant factor (from the largest) collects the k-th largest power
-    of every prime.  Infinite factors (0) go last.
-    """
-    free = sum(1 for d in factors if d == 0)
-    primes: dict[int, list[int]] = {}
-    for d in factors:
-        if d in (0, 1):
-            continue
-        if d < 0:
-            d = -d
-        for p, e in factorize(d).items():
-            primes.setdefault(p, []).append(e)
-    for exps in primes.values():
-        exps.sort(reverse=True)
-    chains = zip_longest(*primes.values(), fillvalue=0)
-    torsion = sorted(
-        (
-            reduce(lambda acc, pe: acc * pe, (p**e for p, e in zip(primes, col)), 1)
-            for col in chains
-        )
-    )
-    return tuple(t for t in torsion if t > 1) + (0,) * free
-
-
 @dataclass(frozen=True)
 class FgAbelian:
-    """d1 | d2 | ... | dr with 0 = Z; optional generator labels (no algebraic weight)."""
+    """d1 | d2 | ... | dr with 0 = Z."""
 
     factors: tuple[int, ...]
-    labels: tuple[str, ...] | None = dataclass_field(default=None, compare=False)
 
     def __post_init__(self):
         f = self.factors
@@ -65,21 +36,15 @@ class FgAbelian:
                 raise ValueError(f"divisibility chain violated: {f}")
         if any(x == 1 for x in f) or any(x < 0 for x in f):
             raise ValueError(f"factors must be 0 or >= 2: {f}")
-        if self.labels is not None and len(self.labels) != len(f):
-            object.__setattr__(self, "labels", None)
 
     @classmethod
-    def from_factors(cls, factors: Sequence[int], labels=None) -> "FgAbelian":
-        norm = _normalize_factors(factors)
-        if labels is not None and tuple(d for d in factors if d != 1) == norm:
-            return cls(norm, tuple(labels))
-        return cls(norm)
+    def from_factors(cls, factors: Sequence[int]) -> "FgAbelian":
+        """The direct sum of cyclic groups of the given orders (0 = Z, sign ignored)."""
+        return presentation_normalize(factors)[0]
 
     @classmethod
-    def cyclic(cls, n: int, label: str | None = None) -> "FgAbelian":
-        if n == 1:
-            return cls(())
-        return cls((n,), (label,) if label else None)
+    def cyclic(cls, n: int) -> "FgAbelian":
+        return cls(()) if n == 1 else cls((n,))
 
     @property
     def rank(self) -> int:
@@ -105,9 +70,8 @@ class FgAbelian:
         return " x ".join("Z" if d == 0 else f"Z/{d}" for d in self.factors)
 
     def to_json(self) -> dict:
-        out = {"invariant_factors": list(self.factors)}
-        out["labels"] = list(self.labels) if self.labels else []
-        return out
+        # report schema 1 has a "labels" key; generators carry no labels
+        return {"invariant_factors": list(self.factors), "labels": []}
 
 
 @dataclass(frozen=True)
@@ -125,10 +89,11 @@ class Ambiguous:
 # presentations:  Z^n / L  for a relation lattice L
 
 
-def _relation_matrix(a: FgAbelian) -> ZMatrix:
-    cols = [i for i, d in enumerate(a.factors) if d != 0]
+def _relations(orders: Sequence[int]) -> ZMatrix:
+    """The relation columns o_i e_i of Z^n / <o_i e_i>, one per nonzero order."""
+    cols = [i for i, o in enumerate(orders) if o != 0]
     return ZMatrix(
-        [[a.factors[i] if i == j else 0 for j in cols] for i in range(a.rank)],
+        [[orders[i] if i == j else 0 for j in cols] for i in range(len(orders))],
         cols=len(cols),
     )
 
@@ -141,13 +106,7 @@ def presentation_normalize(orders: Sequence[int]):
     maps back; both are integer matrices and inverse to each other modulo
     the relations.
     """
-    n = len(orders)
-    rel_cols = [i for i, o in enumerate(orders) if o != 0]
-    rel = ZMatrix(
-        [[orders[i] if i == j else 0 for j in rel_cols] for i in range(n)],
-        cols=len(rel_cols),
-    )
-    group, from_normal, to_normal = _quotient_with_transforms(ZMatrix.identity(n), rel)
+    group, from_normal, to_normal = _quotient_with_transforms(_relations(orders))
     return group, to_normal, from_normal
 
 
@@ -226,24 +185,22 @@ class AbHom:
         return AbHom(self.source, self.target, self.matrix - other.matrix)
 
 
-def _quotient_with_transforms(gens: ZMatrix, rels: ZMatrix):
-    """Z-span(gens) / Z-span(rels), for rels inside the span of gens.
+def _quotient_with_transforms(rels: ZMatrix):
+    """Z^m / Z-span(rels) for an m-row relation matrix, by Smith normal form.
 
-    ``gens`` columns must be a lattice basis.  Returns
-    (group, new_gens, proj): new_gens columns express the invariant-factor
-    generators in ambient coordinates, and proj maps gens-basis coordinates
-    onto group coordinates.
+    Returns (group, new_gens, proj): new_gens columns express the
+    invariant-factor generators in the m coordinates, and proj maps those
+    coordinates onto group coordinates.
     """
-    m = gens.cols
+    m = rels.rows
     if m == 0:
-        return FgAbelian(()), gens, ZMatrix.zeros(0, 0)
-    coords = _solve_integer(gens, rels)
-    u, uinv, d, _ = _snf_with_inverses(coords)
+        return FgAbelian(()), ZMatrix.zeros(0, 0), ZMatrix.zeros(0, 0)
+    u, uinv, d, _ = _snf_with_inverses(rels)
     diag = list(d.diagonal_entries()) + [0] * (m - min(d.rows, d.cols))
     keep = [i for i, di in enumerate(diag) if di != 1]
     ordered = [keep[i] for i in _chain_order([diag[i] for i in keep])]
     group = FgAbelian(tuple(diag[i] for i in ordered))
-    new_gens = (gens @ uinv).take_cols(ordered)
+    new_gens = uinv.take_cols(ordered)
     proj = ZMatrix([list(u.entries[i]) for i in ordered], cols=m)
     return group, new_gens, proj
 
@@ -280,16 +237,18 @@ def _coords_mod(group: FgAbelian, vec: Sequence[int]) -> tuple[int, ...]:
 
 def ab_kernel(h: AbHom) -> tuple[FgAbelian, AbHom]:
     """(K, inclusion K -> source) with K in invariant-factor form."""
-    n, t = h.source.rank, h.target.rank
-    tgt_rel = _relation_matrix(h.target)
+    n = h.source.rank
+    tgt_rel = _relations(h.target.factors)
     stacked = h.matrix.hstack(tgt_rel) if tgt_rel.cols else h.matrix
     # integer solutions of  M x = relation combination; project to the x part
     full_kernel = _z_kernel(stacked)
     xpart = ZMatrix([full_kernel.entries[i] for i in range(n)], cols=full_kernel.cols)
     # lattice of lifts; includes the source relations since h is well defined
     lattice = _lattice_basis(xpart, n)
-    src_rel = _relation_matrix(h.source)
-    group, new_gens, _ = _quotient_with_transforms(lattice, src_rel)
+    # the source relations in the lattice basis
+    coords = _solve_integer(lattice, _relations(h.source.factors))
+    group, basis_gens, _ = _quotient_with_transforms(coords)
+    new_gens = lattice @ basis_gens
     incl = AbHom(group, h.source, ZMatrix(
         [[_coords_mod(h.source, new_gens.column(j))[i] for j in range(new_gens.cols)]
          for i in range(n)], cols=new_gens.cols))
@@ -320,8 +279,8 @@ def _lattice_basis(cols: ZMatrix, n: int) -> ZMatrix:
 def ab_cokernel(h: AbHom) -> tuple[FgAbelian, AbHom]:
     """(C, projection target -> C)."""
     t = h.target.rank
-    rel = h.matrix.hstack(_relation_matrix(h.target))
-    group, _, proj_rows = _quotient_with_transforms(ZMatrix.identity(t), rel)
+    rels = h.matrix.hstack(_relations(h.target.factors))
+    group, _, proj_rows = _quotient_with_transforms(rels)
     proj = AbHom(h.target, group, ZMatrix(
         [[_reduce_entry(group.factors[i], x) for x in proj_rows.entries[i]]
          for i in range(group.rank)], cols=t))
@@ -335,47 +294,11 @@ def _reduce_entry(order: int, x: int) -> int:
 def ab_image(h: AbHom) -> FgAbelian:
     """The image of h as an abstract group: (M + rel) / rel inside the target."""
     t = h.target.rank
-    tgt_rel = _relation_matrix(h.target)
+    tgt_rel = _relations(h.target.factors)
     span = _lattice_basis(h.matrix.hstack(tgt_rel), t)
-    group, _, _ = _quotient_with_transforms(span, tgt_rel)
+    group, _, _ = _quotient_with_transforms(_solve_integer(span, tgt_rel))
     return group
 
 
 def ab_direct_sum(parts: Sequence[FgAbelian]) -> FgAbelian:
-    factors: list[int] = []
-    labels: list[str] = []
-    have_labels = True
-    for g in parts:
-        factors.extend(g.factors)
-        if g.labels is None:
-            have_labels = False
-        else:
-            labels.extend(g.labels)
-    return FgAbelian.from_factors(factors, labels if have_labels else None)
-
-
-SPLIT_REASONS = ("sub_trivial", "quot_trivial", "coprime_orders", "split_by_inflation", "none")
-
-
-def extension_resolve(sub: FgAbelian, quot: FgAbelian, split_reason: str):
-    """Resolve 0 -> sub -> E -> quot -> 0 when a splitting rule applies.
-
-    Returns the direct sum for an applicable reason, otherwise the honest
-    :class:`Ambiguous` answer carrying both ends.
-    """
-    if split_reason not in SPLIT_REASONS:
-        raise ValueError(f"unknown split reason {split_reason!r}")
-    if sub.is_trivial():
-        return quot
-    if quot.is_trivial():
-        return sub
-    if split_reason == "coprime_orders":
-        so, qo = sub.order(), quot.order()
-        if so is None or qo is None or math.gcd(so, qo) != 1:
-            raise ValueError("coprime_orders claimed but orders are not coprime")
-        return ab_direct_sum([sub, quot])
-    if split_reason in ("split_by_inflation",):
-        return ab_direct_sum([sub, quot])
-    if split_reason in ("sub_trivial", "quot_trivial"):
-        raise ValueError(f"{split_reason} claimed but both ends are nontrivial")
-    return Ambiguous(sub, quot)
+    return FgAbelian.from_factors([d for g in parts for d in g.factors])

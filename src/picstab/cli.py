@@ -7,7 +7,6 @@ deterministic: identical input files give byte-identical JSON.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import hashlib
 import json
@@ -374,39 +373,25 @@ def _evaluate_compute_t(path: str, verify: bool) -> tuple[dict, int]:
     return report, 2 if result.is_ambiguous else 0
 
 
-def _evaluate_compute_t_entry(args) -> tuple[str, dict | None, str | None, int]:
-    path, verify = args
-    try:
-        report, code = _evaluate_compute_t(path, verify)
-        return path, report, None, code
-    except Exception as ex:  # noqa: BLE001 - converted to exit code 1 per contract
-        return path, None, f"{type(ex).__name__}: {ex}", 1
-
-
 @main.command("compute-t")
 @click.argument("inputs", nargs=-1, required=True, type=click.Path(exists=True))
 @_report_options
-@click.option("--jobs", default=1, show_default=True, help="Evaluate input files concurrently.")
 @click.option("--verify", is_flag=True, help="Run registry self-verification first.")
-def cmd_compute_t(inputs, out, fmt, jobs, verify) -> None:
+def cmd_compute_t(inputs, out, fmt, verify) -> None:
     """Compute T(G) for the graph of groups described in each INPUT file."""
     if out and len(inputs) > 1:
         raise click.UsageError("--out supports a single input file")
-    worklist = [(path, verify) for path in inputs]
-    if jobs > 1 and len(inputs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_evaluate_compute_t_entry, worklist))
-    else:
-        results = [_evaluate_compute_t_entry(w) for w in worklist]
     exit_code = 0
-    for path, report, error, code in results:
-        if error is not None:
-            click.echo(f"{path}: {error}", err=True)
+    for path in inputs:
+        try:
+            report, code = _evaluate_compute_t(path, verify)
+        except Exception as ex:  # noqa: BLE001 - converted to exit code 1 per contract
+            click.echo(f"{path}: {type(ex).__name__}: {ex}", err=True)
             exit_code = 1
-        else:
-            _emit(report, fmt, out)
-            if code == 2 and exit_code == 0:
-                exit_code = 2
+            continue
+        _emit(report, fmt, out)
+        if code == 2 and exit_code == 0:
+            exit_code = 2
     sys.exit(exit_code)
 
 

@@ -743,6 +743,7 @@ def module_iso(m: GModule, n: GModule) -> GMap | None:
     ``is_endotrivial`` and ``verify_generator``, compares with k or Omega^n k;
     ``_distinct_summands`` compares indecomposable summands.
     """
+    _same_base(m, n)
     if m.dim != n.dim:
         return None
     if m.dim == 0:

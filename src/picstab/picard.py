@@ -54,10 +54,8 @@ class TGen:
 class TGroupData:
     group: FiniteGroup
     field: Fq
-    family: str
     gens: tuple[TGen, ...]
     structure: FgAbelian
-    notes: tuple[str, ...] = ()
 
     @property
     def raw_orders(self) -> tuple[int, ...]:
@@ -128,10 +126,6 @@ class StableAutProfile:
 # family detection
 
 
-def _is_cyclic(g: FiniteGroup) -> bool:
-    return any(g.element_order(x) == g.order for x in range(g.order))
-
-
 def _is_klein_four(g: FiniteGroup) -> bool:
     return g.order == 4 and all(g.element_order(x) <= 2 for x in range(g.order))
 
@@ -156,24 +150,16 @@ def _cyclic_times_cyclic_split(g: FiniteGroup, p: int) -> tuple[int, int] | None
 def t_group(group: FiniteGroup, field: Fq) -> TGroupData:
     """Structure of T(G) with explicit generators, by the registry rules."""
     p, q = field.p, field.q
-    notes: list[str] = []
     gens: list[TGen] = []
     if group.order % p:
-        family = "semisimple"
-        notes.append("char k does not divide |G|: the stable category vanishes")
+        pass  # char k does not divide |G|: the stable category vanishes
     elif _is_quaternion8(group):
-        family = "quaternion8"
         gens.append(TGen("Omega k", 4, ("syzygy", ("trivial",))))
         if (q - 1) % 3 == 0:
+            # the 3-dimensional module of the Carlson-Thevenaz classification,
+            # present when k has a cube root of unity; cited, not reconstructed
             gens.append(TGen("W3 (Carlson-Thevenaz)", 2, None))
-            notes.append(
-                "the order-2 generator is the 3-dimensional module from the "
-                "Carlson-Thevenaz classification for quaternion groups; it is "
-                "cited, not reconstructed, so computations that need it are flagged"
-            )
-        notes.append("|T(Q8)| depends on whether k contains a cube root of unity")
     elif _is_klein_four(group):
-        family = "klein4"
         gens.append(TGen("Omega k", 0, ("syzygy", ("trivial",))))
     else:
         split = _cyclic_times_cyclic_split(group, p)
@@ -183,20 +169,19 @@ def t_group(group: FiniteGroup, field: Fq) -> TGroupData:
                 "group, Q8, and products C_(p^a) x C_m"
             )
         pa, m = split
-        family = "cyclic" if _is_cyclic(group) else "cyclic_times_cyclic"
         c = math.gcd(m, q - 1)
         if c > 1:
             gens.append(TGen("chi", c, ("character", 1)))
         if pa >= 3:
             gens.append(TGen("Omega k", 2, ("syzygy", ("trivial",))))
     structure, _, _ = presentation_normalize([g.order for g in gens])
-    return TGroupData(group, field, family, tuple(gens), structure, tuple(notes))
+    return TGroupData(group, field, tuple(gens), structure)
 
 
 def stable_aut(group: FiniteGroup, field: Fq) -> StableAutProfile:
     """(k/|G|k)^x: the unit group of Tate H^0, i.e. k^x when char k divides |G|."""
     h0 = tate_h0(group, field)
-    structure = FgAbelian.cyclic(h0.unit_group_order, label="scalar")
+    structure = FgAbelian.cyclic(h0.unit_group_order)
     return StableAutProfile(group.name, structure)
 
 
@@ -267,7 +252,7 @@ def infinite_profile(name: str, finite_part, field: Fq) -> tuple[InfiniteTGroup,
         raise UnsupportedProfile(f"unknown profile {name!r}")
     if a.order % field.p:
         raise UnsupportedProfile("profiles require char k to divide |A|")
-    units = FgAbelian.cyclic(field.q - 1, label="rank-1 lattice")
+    units = FgAbelian.cyclic(field.q - 1)
     t_a = t_group(a, field)
     if name == "Z_times":
         structure = ab_direct_sum([units, t_a.structure])

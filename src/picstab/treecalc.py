@@ -20,8 +20,8 @@ from .abgrp import (
     Ambiguous,
     FgAbelian,
     ab_cokernel,
+    ab_direct_sum,
     ab_kernel,
-    extension_resolve,
     hom_from_exponents,
 )
 from .exactlin import Fq, ZMatrix
@@ -333,7 +333,7 @@ def compute_t(gog: GraphOfGroups, k: Fq) -> TResult:
         rule = "coprime_orders"
     else:
         rule = "none"
-    answer = extension_resolve(sub, quot, rule)
+    answer = Ambiguous(sub, quot) if rule == "none" else ab_direct_sum([sub, quot])
     provenance = {
         "field": {"p": k.p, "deg": k.e},
         "vertices": [

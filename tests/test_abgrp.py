@@ -5,14 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from picstab.abgrp import (
     AbHom,
-    Ambiguous,
     FgAbelian,
     IllDefinedHom,
     ab_cokernel,
     ab_direct_sum,
     ab_image,
     ab_kernel,
-    extension_resolve,
     presentation_normalize,
 )
 from picstab.exactlin import ZMatrix
@@ -85,25 +83,38 @@ def test_direct_sum_crt():
     assert ab_direct_sum([FgAbelian((0,)), FgAbelian((5,))]).factors == (5, 0)
 
 
-def test_extension_resolve_rules():
-    z2 = FgAbelian((2,))
-    z3 = FgAbelian((3,))
-    triv = FgAbelian(())
-    assert extension_resolve(triv, z2, "sub_trivial") == z2
-    assert extension_resolve(z2, triv, "quot_trivial") == z2
-    assert extension_resolve(z3, z2, "coprime_orders").factors == (6,)
-    assert extension_resolve(z2, z2, "split_by_inflation").factors == (2, 2)
-    out = extension_resolve(z2, z2, "none")
-    assert isinstance(out, Ambiguous)
-    assert out.sub == z2 and out.quot == z2
+def _prime_divisors(d: int) -> set[int]:
+    out, p = set(), 2
+    while p * p <= d:
+        while d % p == 0:
+            out.add(p)
+            d //= p
+        p += 1
+    return out | {d} if d > 1 else out
 
 
-def test_extension_resolve_rejects_bad_reason():
-    z2 = FgAbelian((2,))
-    with pytest.raises(ValueError):
-        extension_resolve(z2, FgAbelian((4,)), "coprime_orders")
-    with pytest.raises(ValueError):
-        extension_resolve(z2, z2, "unknown_rule")
+def _p_part(d: int, p: int) -> int:
+    part = 1
+    while d % p == 0:
+        d //= p
+        part *= p
+    return part
+
+
+def _elementary_divisors(factors) -> tuple[list, int]:
+    """For each prime, the sorted p-parts > 1 of the nonzero factors; and the count of zeros."""
+    nonzero = [abs(d) for d in factors if d != 0]
+    primes = sorted(set().union(*map(_prime_divisors, nonzero)))
+    parts = [(p, sorted(_p_part(d, p) for d in nonzero if d % p == 0)) for p in primes]
+    return parts, sum(1 for d in factors if d == 0)
+
+
+@given(st.lists(st.integers(-36, 72), max_size=5))
+@settings(**SETTINGS)
+def test_from_factors_keeps_the_elementary_divisors(factors):
+    g = FgAbelian.from_factors(factors)
+    FgAbelian(g.factors)  # re-validates the chain
+    assert _elementary_divisors(g.factors) == _elementary_divisors(factors)
 
 
 def test_ill_defined_hom_rejected():

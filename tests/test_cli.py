@@ -113,10 +113,10 @@ def test_out_file_and_text_format(runner, tmp_path):
     assert "pretty: Z/6" in text
 
 
-def test_jobs_multiple_inputs(runner, tmp_path):
+def test_multiple_inputs(runner, tmp_path):
     p1 = write(tmp_path, "a.json", SL2Z)
     p2 = write(tmp_path, "b.json", dict(SL2Z, field={"p": 2, "deg": 1}))
-    result = runner.invoke(main, ["compute-t", p1, p2, "--jobs", "2"])
+    result = runner.invoke(main, ["compute-t", p1, p2])
     assert result.exit_code == 0
     # two JSON objects concatenated; split on the boundary
     chunks = result.output.replace("}\n{", "}\x00{").split("\x00")

@@ -213,6 +213,14 @@ def test_mono_rejects_wrong_order():
         mono_from_generator_images(cyclic(2), cyclic(3), ["g"])
 
 
+def test_mono_rejects_a_failed_mixed_relation(s3):
+    # V4 into S3 by two transpositions: each image has order 2, but they do not commute
+    t1, t2 = [x for x in range(s3.order) if s3.element_order(x) == 2][:2]
+    assert s3.mult[t1][t2] != s3.mult[t2][t1]
+    with pytest.raises(NotHomomorphism):
+        mono_from_generator_images(klein4(), s3, [t1, t2])
+
+
 def test_mono_rejects_non_injective():
     with pytest.raises(NotInjective):
         mono_from_generator_images(cyclic(4), cyclic(2), ["g"])

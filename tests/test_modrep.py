@@ -120,6 +120,12 @@ def test_mismatch_errors(F2, F3):
         tensor(trivial_module(cyclic(2), F2), trivial_module(cyclic(3), F2))
     with pytest.raises(FieldMismatch):
         tensor(trivial_module(cyclic(2), F2), trivial_module(cyclic(2), F3))
+    # the base is checked before the dimensions: C2 vs C3 raises at any dimension
+    with pytest.raises(GroupMismatch):
+        module_iso(trivial_module(cyclic(2), F2), regular_module(cyclic(3), F2))
+    k3 = trivial_module(cyclic(3), F2)
+    with pytest.raises(GroupMismatch):
+        module_iso(regular_module(cyclic(2), F2), direct_sum(cyclic(3), F2, [k3, k3]))
 
 
 def test_dual_and_tensor_unit(F2):

@@ -202,6 +202,26 @@ def test_coprime_rule(F4):
     assert r.answer == FgAbelian((6,))
 
 
+@pytest.mark.parametrize(
+    "rule, build, field, answer",
+    [
+        ("sub_trivial", sl2z, "F4", FgAbelian((6,))),
+        ("quot_trivial", lambda: z_times(FiniteVertex(cyclic(2))), "F4", FgAbelian((3,))),
+        # Z x C6 over F4: Z/3 by Z/3 splits by inflation, and is not Z/9
+        ("split_by_inflation", lambda: z_times(FiniteVertex(cyclic(6))), "F4",
+         FgAbelian((3, 3))),
+        ("coprime_orders", lambda: hnn(cyclic(4), cyclic(4), ["g"], ["g^3"]), "F4",
+         FgAbelian((6,))),
+        ("none", lambda: hnn(cyclic(3), cyclic(3), ["g"], ["g^2"]), "F3",
+         Ambiguous(FgAbelian((2,)), FgAbelian((2,)))),
+    ],
+)
+def test_compute_t_reaches_each_rule(rule, build, field, answer, request):
+    r = compute_t(build(), request.getfixturevalue(field))
+    assert r.rule == rule
+    assert r.answer == answer
+
+
 def test_hnn_with_proper_edge_subgroup(F4):
     # HNN of C4 over the C2 inside it (both ends g -> g^2): the scalar
     # cokernel is the full unit group Z/3, the T-kernel is Z/2, coprime
